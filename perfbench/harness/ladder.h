@@ -1,11 +1,11 @@
 #pragma once
 // Capacity search on a fixed, ascending ladder of offered rates.
 //
-// Rung k offers floor * ratio^k frames/s.  The ladder is fixed per
-// workload (perfbench/workloads.json), so two commits are probed at the
-// same rates.  Its floor sits below a tenth of the capacity measured when
-// the benchmark was defined, so a reading of 0 means the service failed
-// even a trivial load.
+// Rung k offers floor * 1.05^k frames/s.  The ratio and the stride are
+// constants and the floor is fixed per workload (perfbench/workloads.json),
+// so two commits are probed at the same rates.  The floor sits below a
+// tenth of the capacity measured when the benchmark was defined, so a
+// reading of 0 means the service failed even a trivial load.
 //
 // Two predicates are searched on the same probes:
 //   * within    — p99 within the latency limit, no lost frames, no
@@ -13,30 +13,16 @@
 //   * sustained — no lost frames and no backlog growth (latency ignored).
 // `within` implies `sustained`; the probe must report them that way.
 //
-// The search climbs in strides of `stride` rungs until a rung is not
+// The search climbs in strides of kStride rungs until a rung is not
 // sustained, then bisects each predicate's bracket [last passing rung,
-// first failing rung] down to adjacent rungs.  While climbing and
-// bisecting, a rung fails a predicate only when two windows at that rate
-// both fail it: a transient host stall fails one window, a rate beyond
-// capacity fails both.
-//
-// Near capacity a window's verdict is a coin toss (the serving plane is
-// bistable there: a burst grows the batches and the backlog, and the
-// window either recovers or not), so a single bisection lands anywhere in
-// that band.  Each bisection is therefore followed by `staircase` single
-// windows of an up-down staircase starting just above it: a pass moves up
-// one rung, a fail down one.  Each trial votes for the highest rung it
-// shows passing (its rung on a pass, the rung below on a fail) and the
-// reading is the median vote, i.e. the rung the service meets about half
-// the time.  On a deterministic monotone service every vote is the
-// highest passing rung, so the reading is exactly what climbing every
-// rung would find.
+// first failing rung] down to adjacent rungs.  A rung fails a predicate
+// only when two windows at that rate both fail it: a transient host stall
+// fails one window, a rate beyond capacity fails both.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <map>
-#include <vector>
 
 namespace perfbench {
 
@@ -46,14 +32,14 @@ struct RungVerdict {
 };
 
 struct Ladder {
+  static constexpr double kRatio = 1.05;
+  static constexpr long kStride = 14;  ///< rungs per coarse step (1.05^14 ~ 2x)
+  static constexpr long kTopRung = 95;  ///< 1.05^95 ~ 100x the floor
+
   double floor = 0.0;
-  double ratio = 1.05;
-  std::size_t stride = 14;    ///< rungs per coarse step (1.05^14 ~ 2x)
-  std::size_t staircase = 7;  ///< staircase trials per predicate
-  std::size_t max_rung = 100;
 
   double rate(long rung) const {
-    return rung < 0 ? 0.0 : floor * std::pow(ratio, static_cast<double>(rung));
+    return rung < 0 ? 0.0 : floor * std::pow(kRatio, static_cast<double>(rung));
   }
 };
 
@@ -63,16 +49,16 @@ struct LadderResult {
   std::size_t probes = 0;    ///< windows run
 };
 
-/// `probe(rung)` runs one fresh window at ladder.rate(rung) and returns
+/// `probe(rung)` runs one fresh window at Ladder::rate(rung) and returns
 /// its verdict.
 template <class Probe>
-LadderResult search_ladder(const Ladder& ladder, Probe&& probe) {
+LadderResult search_ladder(Probe&& probe) {
   LadderResult out;
   const auto window = [&](long k) {
     ++out.probes;
     return probe(k);
   };
-  // Confirmed verdicts for the climb and the bisections, one per rung.
+  // Confirmed verdicts, one per rung.
   std::map<long, RungVerdict> seen;
   const auto at = [&](long k) -> const RungVerdict& {
     auto it = seen.find(k);
@@ -87,12 +73,11 @@ LadderResult search_ladder(const Ladder& ladder, Probe&& probe) {
     }
     return it->second;
   };
-  const long top = static_cast<long>(ladder.max_rung);
-  const long stride = static_cast<long>(ladder.stride > 0 ? ladder.stride : 1);
+  const long top = Ladder::kTopRung;
 
   // Coarse climb until the first rung that is not sustained.
   long k = 0;
-  while (at(k).sustained && k < top) k = std::min(k + stride, top);
+  while (at(k).sustained && k < top) k = std::min(k + Ladder::kStride, top);
 
   // Bisects one predicate's bracket from the rungs probed so far, in
   // ascending order: hi = first failing rung, lo = highest passing rung
@@ -115,24 +100,11 @@ LadderResult search_ladder(const Ladder& ladder, Probe&& probe) {
     }
     return lo;
   };
-  const auto staircase = [&](bool RungVerdict::*pred, long lo) {
-    std::vector<long> votes;
-    long r = std::clamp(lo + 1, 0L, top);
-    for (std::size_t t = 0; t < ladder.staircase; ++t) {
-      const bool pass = window(r).*pred;
-      votes.push_back(pass ? r : r - 1);
-      r = std::clamp(pass ? r + 1 : r - 1, 0L, top);
-    }
-    if (votes.empty()) return lo;
-    std::sort(votes.begin(), votes.end());
-    return votes[(votes.size() - 1) / 2];  // lower median: a rung, not x.5
-  };
-  out.capacity_rung = staircase(&RungVerdict::within, bisect(&RungVerdict::within));
-  // A rung met within the limit is sustained too, whatever the noisier
-  // second staircase read.
-  out.sustained_rung = std::max(
-      out.capacity_rung,
-      staircase(&RungVerdict::sustained, bisect(&RungVerdict::sustained)));
+  out.capacity_rung = bisect(&RungVerdict::within);
+  // A rung met within the limit is sustained too, even where a lower
+  // rung's two windows both failed.
+  out.sustained_rung =
+      std::max(out.capacity_rung, bisect(&RungVerdict::sustained));
   return out;
 }
 

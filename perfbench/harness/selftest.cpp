@@ -75,20 +75,17 @@ void ladder_search() {
   using namespace perfbench;
   Ladder ladder;
   ladder.floor = 100.0;
-  ladder.ratio = 1.05;
-  ladder.stride = 14;
-  ladder.max_rung = 95;
   // Highest rung whose rate is <= c, capped at the top rung.
   const auto rung_of = [&](double c) {
     const auto k = static_cast<long>(std::floor(
-        std::log(c / ladder.floor) / std::log(ladder.ratio) + 1e-9));
-    return std::min<long>(k, static_cast<long>(ladder.max_rung));
+        std::log(c / ladder.floor) / std::log(Ladder::kRatio) + 1e-9));
+    return std::min<long>(k, Ladder::kTopRung);
   };
   for (const double cap : {100.0, 130.0, 999.0, 2500.0, 7000.0}) {
     for (const double sus_over : {1.0, 1.3, 2.2}) {
       const double sus = cap * sus_over;
       int calls = 0;
-      const auto r = search_ladder(ladder, [&](long k) {
+      const auto r = search_ladder([&](long k) {
         ++calls;
         const double rate = ladder.rate(k);
         return RungVerdict{rate <= cap, rate <= sus};
@@ -96,15 +93,17 @@ void ladder_search() {
       expect(r.capacity_rung == rung_of(cap), "capacity rung on monotone service");
       expect(r.sustained_rung == rung_of(sus), "sustained rung on monotone service");
       expect(r.probes == static_cast<std::size_t>(calls), "every window counted");
-      expect(r.probes <= 48, "bisection keeps the window count small");
+      // 8 climb rungs, a confirmed failure, two 4-step bisections of a
+      // 14-rung bracket with every midpoint confirmed.
+      expect(r.probes <= 25, "bisection keeps the window count small");
     }
   }
   // Even the floor fails: both readings are rate 0.
-  const auto none = search_ladder(ladder, [](long) { return RungVerdict{}; });
+  const auto none = search_ladder([](long) { return RungVerdict{}; });
   expect(none.capacity_rung == -1 && none.sustained_rung == -1, "floor fails");
   expect(ladder.rate(-1) == 0.0, "rung -1 reads as rate 0");
   // Sustained at the floor but over the latency limit: capacity 0.
-  const auto slow = search_ladder(ladder, [&](long k) {
+  const auto slow = search_ladder([&](long k) {
     return RungVerdict{false, ladder.rate(k) <= 300.0};
   });
   expect(slow.capacity_rung == -1 && slow.sustained_rung == rung_of(300.0),
@@ -113,7 +112,7 @@ void ladder_search() {
   // stall); confirmed failures still find the true capacity.
   {
     std::map<long, int> windows;
-    const auto r = search_ladder(ladder, [&](long k) {
+    const auto r = search_ladder([&](long k) {
       const bool first = windows[k]++ == 0;
       const double rate = ladder.rate(k);
       return RungVerdict{!first && rate <= 999.0, !first && rate <= 1500.0};
@@ -122,11 +121,11 @@ void ladder_search() {
     expect(r.sustained_rung == rung_of(1500.0), "confirmed sustained");
   }
   // A coin-toss band: rung K+1 passes every other window, K and below
-  // always pass, K+2 and above never.  The staircase reads K or K+1.
+  // always pass, K+2 and above never.  The search reads K or K+1.
   {
     const long K = 40;
     int toss = 0;
-    const auto r = search_ladder(ladder, [&](long k) {
+    const auto r = search_ladder([&](long k) {
       const bool pass = k <= K || (k == K + 1 && toss++ % 2 == 0);
       return RungVerdict{pass, pass};
     });
@@ -134,8 +133,10 @@ void ladder_search() {
     expect(r.sustained_rung >= r.capacity_rung, "sustained never below capacity");
   }
   // Service never saturates: the search stops at the top rung.
-  const auto all = search_ladder(ladder, [](long) { return RungVerdict{true, true}; });
-  expect(all.capacity_rung == 95 && all.sustained_rung == 95, "top rung");
+  const auto all = search_ladder([](long) { return RungVerdict{true, true}; });
+  expect(all.capacity_rung == Ladder::kTopRung &&
+             all.sustained_rung == Ladder::kTopRung,
+         "top rung");
 }
 
 void span_self_time() {

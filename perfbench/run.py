@@ -122,10 +122,7 @@ def main():
            "--label-every", str(w["label_every"]),
            "--light-fps", str(w["light_fps"]),
            "--slo-fps", str(w["slo_fps"]),
-           "--ladder-floor", str(w["ladder"]["floor_fps"]),
-           "--ladder-ratio", str(w["ladder"]["ratio"]),
-           "--ladder-stride", str(w["ladder"]["stride"]),
-           "--limit-ms", str(cfg["limit_ms"]),
+           "--ladder-floor", str(w["ladder_floor_fps"]),
            "--scratch", os.path.join(bdir, "run")]
     proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     try:
