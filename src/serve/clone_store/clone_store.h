@@ -122,7 +122,7 @@ class CloneStore {
 
   /// Reads the manifest written by persist() and registers every
   /// checkpoint as an evicted clone; returns the session ids, which the
-  /// caller (Shard::restore_clones) re-creates.  The first frame
+  /// caller (Server::restore_clones) re-creates.  The first frame
   /// of each session rehydrates its clone transparently.
   ///
   /// Tolerant by contract (PR 8): every checkpoint is validated (decoded

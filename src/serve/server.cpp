@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "nn/delta.h"
@@ -16,19 +17,6 @@
 #include "util/log.h"
 
 namespace fuse::serve {
-
-const char* submit_result_name(SubmitResult r) {
-  switch (r) {
-    case SubmitResult::kAccepted: return "accepted";
-    case SubmitResult::kQuarantined: return "quarantined";
-    case SubmitResult::kQueueFull: return "queue_full";
-    case SubmitResult::kAdmissionRejected: return "admission_rejected";
-    case SubmitResult::kUnknownSession: return "unknown_session";
-    case SubmitResult::kNoProcessor: return "no_processor";
-    case SubmitResult::kMigrating: return "migrating";
-  }
-  return "?";
-}
 
 void validate_session_config(const SessionConfig& cfg) {
   if (cfg.queue_capacity == 0)
@@ -83,183 +71,257 @@ Server::Server(const fuse::core::Predictor* predictor,
   cfg_.validate();
   shards_.reserve(cfg_.num_shards);
   for (std::size_t k = 0; k < cfg_.num_shards; ++k)
-    shards_.push_back(std::make_unique<Shard>(predictor_, shared_model_,
-                                              cfg_, k, &in_flight_));
+    shards_.push_back(
+        std::make_unique<Shard>(predictor_, shared_model_, cfg_, k));
 }
 
 Server::~Server() { stop(); }
+
+// ----------------------------------------------------------- registry --
+
+std::shared_ptr<Session> Server::find(SessionId id) const {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  const auto it = registry_.find(id);
+  return it == registry_.end() ? nullptr : it->second;
+}
+
+std::vector<std::shared_ptr<Session>> Server::sessions_on(
+    std::size_t k) const {
+  std::vector<std::shared_ptr<Session>> out;
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  for (const auto& [id, s] : registry_)
+    if (s->shard() == k) out.push_back(s);
+  return out;
+}
+
+std::shared_ptr<Session> Server::make_session(SessionId id,
+                                              SessionConfig scfg,
+                                              std::size_t k) {
+  auto s = std::make_shared<Session>(id, std::move(scfg), k);
+  s->bind_in_flight(&in_flight_, shards_[k]->gauge());
+  return s;
+}
 
 SessionId Server::open_session() { return open_session(cfg_.session); }
 
 SessionId Server::open_session(SessionConfig scfg) {
   validate_session_config(scfg);
-  std::lock_guard<std::mutex> lock(open_mu_);
-  if (session_count_unlocked() >= cfg_.max_sessions)
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  if (registry_.size() >= cfg_.max_sessions)
     throw std::runtime_error("serve::Server: max_sessions reached");
   const SessionId id = next_id_++;
-  shards_[shard_of(id)]->open_session(id, std::move(scfg));
+  registry_.emplace(id, make_session(id, std::move(scfg), home_shard(id)));
+  FUSE_LOG_DEBUG("serve: opened session %zu on shard %zu", id,
+                 home_shard(id));
   return id;
 }
 
 void Server::close_session(SessionId id) {
-  shards_[shard_of(id)]->close_session(id);
-  clear_shard_override(id);  // freed slot: the next tenant starts at home
+  std::shared_ptr<Session> s;
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    const auto it = registry_.find(id);
+    if (it == registry_.end()) return;
+    s = std::move(it->second);
+    registry_.erase(it);
+  }
+  // The shard is read after the erase: a move that committed before it
+  // already handed the clone to the target.  Scheduler-side cleanup
+  // (entry + checkpoint file) happens at the start of that shard's next
+  // pass; until then the store never dereferences the session.
+  shards_[s->shard()]->store().request_forget(id);
+  notify_moves();  // a threaded mover waiting on this session gives up
 }
 
 void Server::recycle_session(SessionId id) {
-  shards_[shard_of(id)]->recycle_session(id);
+  if (const auto s = find(id)) s->request_recycle();
 }
 
 std::size_t Server::session_count() const {
-  return session_count_unlocked();
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  return registry_.size();
 }
 
-std::size_t Server::session_count_unlocked() const {
-  std::size_t total = 0;
-  for (const auto& sh : shards_) total += sh->session_count();
-  return total;
+namespace {
+/// Sensor-corruption fault: poke a quiet NaN into the payload.  The
+/// scheduler's input guards, not the producer, must catch it — exactly as
+/// with a real glitching sensor.
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+}  // namespace
+
+template <class Enqueue>
+SubmitResult Server::submit(SessionId id, const fuse::human::Pose* label,
+                            Enqueue&& enqueue) {
+  const auto s = find(id);
+  if (!s) return SubmitResult::kUnknownSession;
+  if (s->migrating()) {
+    // Mid-move: the queue is being drained for replay on the target shard;
+    // enqueueing here would strand the frame.  Retry-after semantics — the
+    // producer resubmits once the move commits (one scheduler pass).
+    // Session::enqueue re-tests this under the queue lock.
+    s->note_migration_rejected();
+    return SubmitResult::kMigrating;
+  }
+  // Admission gate: the GLOBAL in-flight budget.
+  if (cfg_.max_in_flight != 0 &&
+      in_flight_.load(std::memory_order_relaxed) >= cfg_.max_in_flight) {
+    s->note_admission_rejected();
+    return SubmitResult::kAdmissionRejected;
+  }
+  fuse::human::Pose bad_label;
+  if (label != nullptr &&
+      fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptLabel)) {
+    bad_label = *label;
+    bad_label.joints[0].x = kNaN;
+    label = &bad_label;
+  }
+  const SubmitResult r = enqueue(*s, label);
+  // An accepted enqueue read the shard after the last move resolved (the
+  // session lock orders them), so this wakes the shard that serves it.
+  shards_[s->shard()]->wake();
+  return r;
 }
 
 SubmitResult Server::submit_frame(SessionId id,
                                   const fuse::radar::PointCloud& cloud,
                                   const fuse::human::Pose* label) {
-  return shards_[shard_of(id)]->submit_frame(id, cloud, label);
+  return submit(id, label, [&](Session& s, const fuse::human::Pose* l) {
+    if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCloud)) {
+      fuse::radar::PointCloud bad = cloud;
+      if (bad.points.empty()) bad.points.emplace_back();
+      bad.points[0].y = kNaN;
+      return s.enqueue(bad, l, mono_seconds());
+    }
+    return s.enqueue(cloud, l, mono_seconds());
+  });
 }
 
 SubmitResult Server::submit_cube(SessionId id, fuse::radar::RadarCube cube,
                                  const fuse::human::Pose* label) {
-  return shards_[shard_of(id)]->submit_cube(id, std::move(cube), label);
+  if (cfg_.processor == nullptr)  // no DSP front-end wired
+    return SubmitResult::kNoProcessor;
+  return submit(id, label, [&](Session& s, const fuse::human::Pose* l) {
+    if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCube) &&
+        cube.n_virtual() > 0)
+      cube.at(0, 0, 0) = {kNaN, kNaN};
+    return s.enqueue_cube(std::move(cube), l, mono_seconds());
+  });
 }
 
 std::vector<PoseResult> Server::poll_results(SessionId id) {
-  return shards_[shard_of(id)]->poll_results(id);
+  const auto s = find(id);
+  if (!s) return {};
+  auto out = s->take_results();
+  // Result-poll stage, recorded on the consumer thread into the session's
+  // current shard.
+  shards_[s->shard()]->record_poll(out);
+  return out;
 }
 
 // ------------------------------------------------- placement / migration --
 
 std::size_t Server::shard_of(SessionId id) const {
-  // Fast path: with no overrides the relaxed counter skips the lock, so
-  // the un-migrated server pays exactly the old pure-hash cost.
-  if (override_count_.load(std::memory_order_relaxed) != 0) {
-    std::lock_guard<std::mutex> lock(map_mu_);
-    const auto it = shard_overrides_.find(id);
-    if (it != shard_overrides_.end()) return it->second;
-  }
-  return home_shard(id);
+  const auto s = find(id);
+  return s ? s->shard() : home_shard(id);
 }
 
-void Server::set_shard_override(SessionId id, std::size_t shard) {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  if (shard == home_shard(id))
-    shard_overrides_.erase(id);  // home placement needs no table entry
-  else
-    shard_overrides_[id] = shard;
-  override_count_.store(shard_overrides_.size(), std::memory_order_relaxed);
-}
-
-void Server::clear_shard_override(SessionId id) {
-  std::lock_guard<std::mutex> lock(map_mu_);
-  shard_overrides_.erase(id);
-  override_count_.store(shard_overrides_.size(), std::memory_order_relaxed);
+void Server::notify_moves() {
+  // Taking the lock orders this notify after any waiter's predicate check.
+  { std::lock_guard<std::mutex> lock(moves_mu_); }
+  moves_cv_.notify_all();
 }
 
 bool Server::migrate_session(SessionId id, std::size_t target_shard) {
   if (target_shard >= shards_.size()) return false;
-  const std::size_t src = shard_of(id);
-  auto s = shards_[src]->find(id);
+  const auto s = find(id);
   if (!s) return false;
-  if (src == target_shard) return true;
-  if (running_.load(std::memory_order_relaxed)) {
-    // Threaded: execute inline under both shards' pass locks, taken in
-    // index order.  Shard threads only ever take their own pass lock, so
-    // this order cannot form a cycle.
-    auto lock_a = shards_[std::min(src, target_shard)]->lock_pass();
-    auto lock_b = shards_[std::max(src, target_shard)]->lock_pass();
-    // A concurrent migrate may have moved the session while we waited on
-    // the locks; only proceed when it still lives on a locked shard.
-    const std::size_t now_on = shard_of(id);
-    if (now_on != src && now_on != target_shard) return false;
-    return execute_migration(id, target_shard);
-  }
-  // Synchronous: mark now so submits bounce with kMigrating, execute at
-  // the start of the next run_once()/drain() (the tick owns session
-  // state, so the kMigrating window is deterministic and observable).
-  s->begin_migration();
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  pending_migrations_.emplace_back(id, target_shard);
-  return true;
+  if (s->shard() == target_shard) return true;
+  s->request_move(target_shard);
+  if (!running()) return true;  // commits inside the next run_once()/drain()
+  shards_[s->shard()]->wake();
+  std::unique_lock<std::mutex> lock(moves_mu_);
+  moves_cv_.wait(lock, [&] {
+    return !s->migrating() || find(id) != s || !running();
+  });
+  if (find(id) != s) return false;  // closed: nothing moved
+  // Settled: committed iff the session now lives on the target.  Stopped
+  // first: the move stays requested and commits in the next
+  // run_once()/drain().
+  return s->migrating() || s->shard() == target_shard;
 }
 
-bool Server::execute_migration(SessionId id, std::size_t target_shard) {
-  const std::size_t src = shard_of(id);
-  Shard& from = *shards_[src];
-  Shard& to = *shards_[target_shard];
-  auto s = from.find(id);
-  if (!s) return false;  // closed since the request
-  if (src == target_shard) {
-    s->end_migration();  // deferred no-op move: just unfreeze submits
-    return true;
+bool Server::execute_move(Session& s, std::size_t k) {
+  const std::size_t target = s.take_move();
+  if (target == Session::kNoMove) return false;
+  if (target == k) {
+    s.finish_move();  // moved back before running: just reopen submits
+    notify_moves();
+    return false;
   }
+  Shard& from = *shards_[k];
+  Shard& to = *shards_[target];
   const double t0 = mono_seconds();
-  s->begin_migration();
-  auto frames = s->drain_queue();
-  const auto rollback = [&]() {
-    // Crash mid-move: the session never left its source shard; put the
-    // drained frames back (order preserved) and unfreeze submits.
-    s->requeue(std::move(frames));
-    s->end_migration();
-    from.note_migration_failure();
-    from.record_migration(mono_seconds() - t0);
-  };
+  auto frames = s.drain_queue();
   // An evicted clone must travel with the session: pull it resident
   // before the codec round-trip.
-  if (from.store().enabled()) from.store().ensure_resident(*s);
-  if (s->adapted_model() != nullptr) {
+  if (from.store().enabled()) from.store().ensure_resident(s);
+  bool ok;
+  if (s.adapted_model() != nullptr) {
     // Checkpoint through the delta codec — the same format eviction and
     // warm restart use — so the target adopts exactly the state a crash
     // recovery would restore (bit-exact in fp32 mode).
-    if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill)) {
-      rollback();
-      return false;
+    ok = !fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill);
+    if (ok) {
+      const auto delta = fuse::nn::extract_delta(
+          *s.adapted_model(), *shared_model_, cfg_.clone_store.delta);
+      ok = !fuse::util::fault_fire(
+          fuse::util::FaultPoint::kTargetShardCrash);
+      if (ok) {
+        s.adapted_slot() =
+            fuse::nn::rehydrate_from_delta(*shared_model_, delta);
+        s.hand_off_clone();  // the target's store adopts it
+      }
     }
-    const auto delta = fuse::nn::extract_delta(*s->adapted_model(),
-                                               *shared_model_,
-                                               cfg_.clone_store.delta);
-    if (fuse::util::fault_fire(fuse::util::FaultPoint::kTargetShardCrash)) {
-      rollback();
-      return false;
-    }
-    s->adapted_slot() = fuse::nn::rehydrate_from_delta(*shared_model_, delta);
-  } else if (fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill) ||
-             fuse::util::fault_fire(
-                 fuse::util::FaultPoint::kTargetShardCrash)) {
-    rollback();  // a bare (un-adapted) move can still be killed mid-flight
-    return false;
+  } else {
+    // A bare (un-adapted) move can still be killed mid-flight.
+    ok = !fuse::util::fault_fire(fuse::util::FaultPoint::kMigrationKill) &&
+         !fuse::util::fault_fire(fuse::util::FaultPoint::kTargetShardCrash);
   }
-  // Commit point: every step below is infallible, so the session can
-  // never be observed half-moved.
-  if (from.store().enabled()) from.store().forget(id);
-  to.attach_session(s);
-  set_shard_override(id, target_shard);  // route new submits to the target
-  from.detach_session(id);
-  s->rebind_shard_gauge(to.gauge());
-  s->requeue(std::move(frames));  // replay the drained backlog, in order
-  if (to.store().enabled() && s->adapted_model() != nullptr)
-    to.store().note_adapted(*s);
-  s->end_migration();
+  bool committed = false;
+  {
+    // Commit point, under the registry lock: it is ordered against
+    // close_session, and the target's pass cannot pick the session up
+    // before its backlog is back and submits have reopened.
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    const auto it = registry_.find(s.id());
+    committed = ok && it != registry_.end() && it->second.get() == &s;
+    if (committed) s.move_to(target, to.gauge());
+    // Replay the drained backlog in order: on the target, or back on the
+    // source after a crash (or a close) mid-move.
+    s.requeue(std::move(frames));
+    s.finish_move();
+  }
+  if (!ok) {
+    from.note_migration_failure();
+    from.record_migration(mono_seconds() - t0);
+  }
+  notify_moves();
+  if (!committed) return false;
+  if (from.store().enabled()) from.store().forget(s.id());
   from.note_migration_out();
   to.note_migration_in();
   from.record_migration(mono_seconds() - t0);
+  to.wake();  // an idle target would otherwise leave the backlog queued
   return true;
 }
 
-void Server::run_pending_migrations() {
-  std::vector<std::pair<SessionId, std::size_t>> pending;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending.swap(pending_migrations_);
-  }
-  for (const auto& [id, target] : pending) execute_migration(id, target);
+std::size_t Server::pass(std::size_t k) {
+  auto owned = sessions_on(k);
+  bool moved = false;
+  for (const auto& s : owned) moved |= execute_move(*s, k);
+  if (moved)
+    std::erase_if(owned, [k](const auto& s) { return s->shard() != k; });
+  return shards_[k]->run_pass(owned);
 }
 
 void Server::maybe_rebalance() {
@@ -283,42 +345,44 @@ void Server::maybe_rebalance() {
           cfg_.rebalance_ratio * static_cast<double>(floor_cold) ||
       hot_depth - cold_depth < cfg_.session.queue_capacity)
     return;
-  const auto depths = shards_[hot]->session_depths();
-  SessionId pick = 0;
+  std::shared_ptr<Session> pick;
   std::size_t pick_depth = 0;
-  for (const auto& [id, depth] : depths)
-    if (depth > pick_depth) pick = id, pick_depth = depth;
-  if (pick_depth == 0) return;
-  execute_migration(pick, cold);  // synchronous tick: safe inline
+  for (const auto& s : sessions_on(hot)) {
+    const std::size_t depth = s->queue_depth();
+    if (depth > pick_depth) pick = s, pick_depth = depth;
+  }
+  if (pick) pick->request_move(cold);  // runs at the top of hot's pass
 }
 
 std::size_t Server::run_once() {
-  run_pending_migrations();
   maybe_rebalance();
   std::size_t served = 0;
-  for (auto& sh : shards_) served += sh->run_once();
+  for (std::size_t k = 0; k < shards_.size(); ++k) served += pass(k);
   return served;
 }
 
 std::size_t Server::drain() {
-  // Deferred migrations move frames BETWEEN shards, so run them before
-  // the shard-by-shard drain; after that a shard's queues are only ever
-  // refilled from outside the server, and draining each until empty
-  // drains the whole plane.
-  run_pending_migrations();
+  // Drain shard by shard.  A move executed by a later shard's pass can
+  // requeue frames onto an earlier, already drained shard, so repeat
+  // until no frame is queued anywhere.
   std::size_t total = 0;
-  for (auto& sh : shards_) total += sh->drain();
+  do {
+    for (std::size_t k = 0; k < shards_.size(); ++k)
+      while (const std::size_t served = pass(k)) total += served;
+  } while (in_flight_.load(std::memory_order_relaxed) != 0);
   return total;
 }
 
 void Server::start() {
   if (running_.exchange(true)) return;
-  for (auto& sh : shards_) sh->start();
+  for (std::size_t k = 0; k < shards_.size(); ++k)
+    shards_[k]->start([this, k] { return pass(k); });
 }
 
 void Server::stop() {
   if (!running_.exchange(false)) return;
   for (auto& sh : shards_) sh->stop();
+  notify_moves();
 }
 
 namespace {
@@ -397,7 +461,10 @@ bool dir_has_clone_data(const std::filesystem::path& dir) {
 }  // namespace
 
 void Server::persist_clones() {
-  for (auto& sh : shards_) sh->persist_clones();
+  if (running())
+    throw std::logic_error("Server::persist_clones: stop() the server first");
+  for (std::size_t k = 0; k < shards_.size(); ++k)
+    shards_[k]->persist_clones(sessions_on(k));
   const std::string& dir = cfg_.clone_store.dir;
   if (dir.empty() || shards_.size() < 2) return;
   // Persist the placement table next to the per-shard stores so migrated
@@ -406,9 +473,11 @@ void Server::persist_clones() {
   std::string payload = "FUSESHMAP1\nshards " +
                         std::to_string(shards_.size()) + "\n";
   {
-    std::lock_guard<std::mutex> lock(map_mu_);
-    for (const auto& [id, shard] : shard_overrides_)
-      payload += std::to_string(id) + " " + std::to_string(shard) + "\n";
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    for (const auto& [id, s] : registry_)
+      if (s->shard() != home_shard(id))  // off-home sessions only
+        payload += std::to_string(id) + " " + std::to_string(s->shard()) +
+                   "\n";
   }
   const std::string path = shard_map_path(dir);
   if (fuse::util::fault_fire(fuse::util::FaultPoint::kTornShardMap)) {
@@ -428,9 +497,11 @@ void Server::persist_clones() {
 }
 
 std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
+  if (running())
+    throw std::logic_error("Server::restore_clones: call before start()");
   validate_session_config(scfg);
   std::vector<SessionId> out;
-  std::lock_guard<std::mutex> lock(open_mu_);
+  std::lock_guard<std::mutex> lock(registry_mu_);
   const std::string& dir = cfg_.clone_store.dir;
   ShardMapFile map;
   if (!dir.empty()) {
@@ -467,12 +538,17 @@ std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
   }
   std::unordered_set<SessionId> seen;
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const auto ids = shards_[k]->restore_clones(scfg);
+    // Registers the shard store's checkpoints; their sessions are
+    // re-created below, on shard k.
+    const auto ids = shards_[k]->store().restore();
     for (const SessionId id : ids) {
       if (!seen.insert(id).second)
         throw_reshard_needed(dir, "session " + std::to_string(id) +
                                       " has checkpoints on two shards "
                                       "(mixed layout)");
+      if (registry_.count(id))
+        throw std::logic_error("Server::restore_clones: session id " +
+                               std::to_string(id) + " already open");
       if (home_shard(id) != k) {
         // Off-home checkpoint: legal only when the placement table pins
         // it here (a migrated session) or the table was torn — then the
@@ -498,14 +574,14 @@ std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
                        " but hashes to shard " +
                        std::to_string(home_shard(id)) +
                        " with no shard_map entry");
-        set_shard_override(id, k);
       }
+      registry_.emplace(id, make_session(id, scfg, k));
       // Fresh ids must never collide with a restored one.
       next_id_ = std::max(next_id_, id + 1);
       out.push_back(id);
     }
   }
-  if (session_count_unlocked() > cfg_.max_sessions)
+  if (registry_.size() > cfg_.max_sessions)
     throw std::runtime_error("serve::Server: max_sessions reached");
   std::sort(out.begin(), out.end());
   FUSE_LOG_DEBUG("serve: restored %zu clone sessions across %zu shards",
@@ -643,7 +719,7 @@ ServeStats Server::stats() const {
   raws.reserve(shards_.size());
   indices.reserve(shards_.size());
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    raws.push_back(shards_[k]->raw_stats());
+    raws.push_back(shards_[k]->raw_stats(sessions_on(k)));
     indices.push_back(k);
   }
   return derive_stats(raws, indices,
@@ -655,7 +731,7 @@ ServeStats Server::stats(std::size_t shard) const {
     throw std::out_of_range("serve::Server::stats: shard index " +
                             std::to_string(shard) + " out of range");
   std::vector<ShardRawStats> raws;
-  raws.push_back(shards_[shard]->raw_stats());
+  raws.push_back(shards_[shard]->raw_stats(sessions_on(shard)));
   const std::size_t in_flight = raws.front().in_flight;
   return derive_stats(raws, {shard}, in_flight, cfg_);
 }

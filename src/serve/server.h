@@ -5,26 +5,29 @@
 //
 // Sessions are placed across `ServeConfig::num_shards` independent
 // scheduler shards.  Each shard owns its own scheduler thread, frame
-// workspace, result queues, clone-store instance and overload detector,
-// so batching/adaptation work scales with cores instead of capping at
-// one.  Placement is an explicit shard-map table: every session starts
-// on its home shard `(id - 1) % num_shards` (deterministic, stable
-// across close_session/recycle_session), and migrate_session() — or the
-// load-balancer hook, see below — may later record an override moving it
-// elsewhere.  With no migrations the table is empty and shard_of() is
-// exactly the old pure hash; the 1-shard configuration is bit-compatible
-// with the pre-shard scheduler (the equivalence oracle — one shard runs
-// exactly the old single-thread engine).
+// workspace, clone-store instance and overload detector, so
+// batching/adaptation work scales with cores instead of capping at one.
 //
-// Cross-shard migration (PR 10): migrate_session(id, shard) drains the
-// session's queue, round-trips its adapted clone through the delta codec
-// (nn/delta.h — the same checkpoint format eviction uses), rebinds the
-// session and its gauges on the target shard and replays the drained
-// frames there.  In synchronous mode the move executes at the start of
-// the next run_once() tick (the scheduler tick owns session state);
-// until then — and for the duration of the move — submits to the session
-// return SubmitResult::kMigrating (retry-after semantics).  In threaded
-// mode the move executes inline under both shards' pass locks.  Setting
+// One session registry: the server owns every open session in a single
+// id -> Session map, and each Session records the shard it lives on.
+// Submits, polls, recycles and closes reach the session directly; a
+// shard's pass takes the registry's sessions placed on it, in id order.
+// A session starts on its home shard `(id - 1) % num_shards`
+// (deterministic, stable across close_session/recycle_session); only a
+// migration changes its shard.  The 1-shard configuration is
+// bit-compatible with the pre-shard scheduler (the equivalence oracle —
+// one shard runs exactly the old single-thread engine).
+//
+// One migration path: migrate_session(id, shard) marks the session with
+// its target — submits to it return SubmitResult::kMigrating from that
+// instant (retry-after semantics) — and the move runs at the start of
+// the source shard's next pass, on the thread that owns the session's
+// scheduler-side state: drain the queue, round-trip the adapted clone
+// through the delta codec (nn/delta.h — the same checkpoint format
+// eviction uses), swap the session's shard and gauge, replay the drained
+// frames and wake the target.  Synchronous callers return at once and the
+// move commits inside the next run_once()/drain(); threaded callers wake
+// the source shard and wait for the outcome.  Setting
 // ServeConfig::rebalance_every arms the built-in load balancer: every N
 // synchronous ticks the deepest-backlog session on the hottest shard is
 // migrated to the coldest shard when the depth imbalance exceeds
@@ -54,12 +57,12 @@
 // object as long as it does not mutate parameters while the server runs.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/predictor.h"
@@ -74,32 +77,6 @@
 namespace fuse::serve {
 
 class Shard;
-
-/// Why a submit_frame/submit_cube call did (not) enqueue its frame.  The
-/// old bool collapsed "queue full", "admission refused" and "no such
-/// session" into one false; callers that only care use accepted().
-enum class SubmitResult {
-  kAccepted,           ///< enqueued for serving
-  /// Enqueued, but the session is quarantined: it will be served from
-  /// the shared meta-init with adaptation disabled (serve/session.h).
-  /// An *accepted* variant — the frame still produces a result — carried
-  /// in the code so producers can surface the sensor problem.
-  kQuarantined,
-  kQueueFull,          ///< bounded queue full under DropPolicy::kDropNewest
-  kAdmissionRejected,  ///< global max_in_flight budget exhausted
-  kUnknownSession,     ///< no session with that id
-  kNoProcessor,        ///< submit_cube without a ServeConfig::processor
-  /// The session is mid-move to another shard (its queue is being drained
-  /// for replay there); retry after the move commits — one scheduler tick.
-  kMigrating,
-};
-
-/// True when the frame was enqueued and will produce a result.
-constexpr bool accepted(SubmitResult r) {
-  return r == SubmitResult::kAccepted || r == SubmitResult::kQuarantined;
-}
-
-const char* submit_result_name(SubmitResult r);
 
 struct ServeConfig {
   std::size_t max_sessions = 64;   ///< across all shards
@@ -187,23 +164,25 @@ class Server {
 
   // ------------------------------------------------------------- shards --
   std::size_t num_shards() const { return shards_.size(); }
-  /// The shard owning session `id`: the explicit shard-map table when the
-  /// session has been migrated, else its home shard (id - 1) % num_shards.
-  /// Stable across close_session/recycle_session and across warm restarts
-  /// with the same num_shards (restore_clones re-installs migrated
-  /// placements from the persisted shard map).
+  /// The shard session `id` lives on: the shard recorded on the open
+  /// session, else (an id that is not open) its home shard
+  /// (id - 1) % num_shards — where open_session would place it.  Stable
+  /// across close_session/recycle_session and across warm restarts with
+  /// the same num_shards (restore_clones re-installs migrated placements
+  /// from the persisted shard map).
   std::size_t shard_of(SessionId id) const;
 
   /// Moves the session to `target_shard`: drains its queue, round-trips
   /// the adapted clone through the delta codec, rebinds session + gauges
-  /// on the target and replays the drained frames there.  Synchronous
-  /// mode defers execution to the start of the next run_once()/drain()
-  /// tick (submits return kMigrating until the move commits); threaded
-  /// mode executes inline under both shards' pass locks.  Returns false
-  /// when the session or target does not exist or the move was rolled
-  /// back (injected mid-migration faults; the session then still serves
-  /// intact on its source shard).  A same-shard target is a no-op
-  /// returning true.
+  /// on the target and replays the drained frames there.  Submits return
+  /// kMigrating from this call until the move resolves.  The move runs at
+  /// the start of the source shard's next pass: synchronous callers get
+  /// true and the move commits inside the next run_once()/drain();
+  /// threaded callers wait for it.  Returns false when the session or
+  /// target does not exist, or (threaded) the move was rolled back
+  /// (injected mid-migration faults; the session then still serves
+  /// intact on its source shard) or the session was closed first.  A
+  /// same-shard target is a no-op returning true.
   bool migrate_session(SessionId id, std::size_t target_shard);
 
   // ------------------------------------------------------------ sessions --
@@ -287,46 +266,55 @@ class Server {
   std::vector<SessionId> restore_clones(const SessionConfig& scfg);
 
  private:
-  std::size_t session_count_unlocked() const;
   std::size_t home_shard(SessionId id) const {
     return id == 0 ? 0 : (id - 1) % shards_.size();
   }
-  /// Executes one queued/requested move; see migrate_session.  Callers
-  /// either hold both shards' pass locks (threaded) or are the sole
-  /// scheduler thread (synchronous tick).
-  bool execute_migration(SessionId id, std::size_t target_shard);
-  /// Runs deferred migrations queued by migrate_session (sync mode only).
-  void run_pending_migrations();
+  std::shared_ptr<Session> find(SessionId id) const;
+  /// The registry's sessions placed on shard `k`, in id order.
+  std::vector<std::shared_ptr<Session>> sessions_on(std::size_t k) const;
+  /// A new session on shard `k`, bound to the admission and shard gauges.
+  std::shared_ptr<Session> make_session(SessionId id, SessionConfig scfg,
+                                        std::size_t k);
+  /// The submit prefix shared by submit_frame/submit_cube: routing, the
+  /// migrating check, admission and the corrupt-label fault, then
+  /// `enqueue(session, label)` and a wake of the session's shard.
+  template <class Enqueue>
+  SubmitResult submit(SessionId id, const fuse::human::Pose* label,
+                      Enqueue&& enqueue);
+  /// One pass of shard `k`: executes the moves requested for its
+  /// sessions, then runs the shard's scheduler over the sessions it
+  /// still owns.  Called by shard k's thread or the synchronous caller.
+  std::size_t pass(std::size_t k);
+  /// Executes the move requested for `s`, if any; `s` lives on shard `k`
+  /// (the calling pass's shard).  Returns true when the session left `k`.
+  bool execute_move(Session& s, std::size_t k);
+  /// Wakes threaded migrate_session callers to re-check their move.
+  void notify_moves();
   /// The load-balancer hook (see ServeConfig::rebalance_every).
   void maybe_rebalance();
-  void set_shard_override(SessionId id, std::size_t shard);
-  void clear_shard_override(SessionId id);
 
   const fuse::core::Predictor* predictor_;
   const fuse::nn::Module* shared_model_;
   ServeConfig cfg_;
   /// Global admission gauge: queued frames across every shard.  Declared
-  /// before shards_ so every Session (which holds a pointer into it and
-  /// drains it on destruction) is destroyed first.
+  /// before shards_ and registry_ so every Session (which holds a pointer
+  /// into it and drains it on destruction) is destroyed first.
   std::atomic<std::size_t> in_flight_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Guards id allocation and the max_sessions cap across shards.
-  mutable std::mutex open_mu_;
+  /// The session registry: every open session, ordered by id.  The lock
+  /// also guards id allocation (and with it the max_sessions cap) and is
+  /// held when a migration commits a session's new shard, so a close and
+  /// a commit are always ordered.  Declared after shards_: sessions point
+  /// at the shards' gauges.
+  mutable std::mutex registry_mu_;
+  std::map<SessionId, std::shared_ptr<Session>> registry_;
   SessionId next_id_ = 1;
 
-  /// Explicit shard-map table: overrides for sessions migrated off their
-  /// home shard (absent id = home hash).  The submit hot path skips the
-  /// lock entirely while the table is empty (the common case), via the
-  /// relaxed override counter.
-  mutable std::mutex map_mu_;
-  std::unordered_map<SessionId, std::size_t> shard_overrides_;
-  std::atomic<std::size_t> override_count_{0};
-
-  /// Migrations requested while in synchronous mode, executed at the
-  /// start of the next run_once() tick.
-  std::mutex pending_mu_;
-  std::vector<std::pair<SessionId, std::size_t>> pending_migrations_;
+  /// Threaded migrate_session callers wait here for their move to
+  /// resolve, the session to close or the server to stop.
+  std::mutex moves_mu_;
+  std::condition_variable moves_cv_;
 
   std::size_t ticks_ = 0;  ///< run_once calls (drives the rebalance hook)
 

@@ -4,29 +4,47 @@
 
 namespace fuse::serve {
 
-bool Session::enqueue(const fuse::radar::PointCloud& cloud,
-                      const fuse::human::Pose* label, double now_s) {
+const char* submit_result_name(SubmitResult r) {
+  switch (r) {
+    case SubmitResult::kAccepted: return "accepted";
+    case SubmitResult::kQuarantined: return "quarantined";
+    case SubmitResult::kQueueFull: return "queue_full";
+    case SubmitResult::kAdmissionRejected: return "admission_rejected";
+    case SubmitResult::kUnknownSession: return "unknown_session";
+    case SubmitResult::kNoProcessor: return "no_processor";
+    case SubmitResult::kMigrating: return "migrating";
+  }
+  return "?";
+}
+
+SubmitResult Session::enqueue(const fuse::radar::PointCloud& cloud,
+                              const fuse::human::Pose* label, double now_s) {
   InFrame f;
   f.cloud = cloud;
   if (label) f.label = *label;
   return enqueue_frame(std::move(f), now_s);
 }
 
-bool Session::enqueue_cube(fuse::radar::RadarCube cube,
-                           const fuse::human::Pose* label, double now_s) {
+SubmitResult Session::enqueue_cube(fuse::radar::RadarCube cube,
+                                   const fuse::human::Pose* label,
+                                   double now_s) {
   InFrame f;
   f.cube = std::make_unique<fuse::radar::RadarCube>(std::move(cube));
   if (label) f.label = *label;
   return enqueue_frame(std::move(f), now_s);
 }
 
-bool Session::enqueue_frame(InFrame f, double now_s) {
+SubmitResult Session::enqueue_frame(InFrame f, double now_s) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (migrating_) {
+    ++migration_rejected_;
+    return SubmitResult::kMigrating;
+  }
   bool evicted = false;
   if (queue_.size() >= cfg_.queue_capacity) {
     if (cfg_.drop_policy == DropPolicy::kDropNewest) {
       ++queue_rejected_;
-      return false;
+      return SubmitResult::kQueueFull;
     }
     ++queue_evicted_;
     queue_.pop_front();  // kDropOldest: evict to keep the stream fresh
@@ -41,7 +59,9 @@ bool Session::enqueue_frame(InFrame f, double now_s) {
   // An eviction nets zero queued frames (-1 evicted, +1 new), so the
   // gauges only tick on a genuine depth increase.
   if (!evicted) add_in_flight(1);
-  return true;
+  // Quarantined sessions still serve (from the shared meta-init), so the
+  // frame IS enqueued — the code just surfaces the sensor problem.
+  return quarantined_ ? SubmitResult::kQuarantined : SubmitResult::kAccepted;
 }
 
 std::vector<PoseResult> Session::take_results() {
@@ -166,14 +186,32 @@ void Session::requeue(std::deque<InFrame> frames) {
   queue_hwm_ = std::max(queue_hwm_, queue_.size());
 }
 
-void Session::rebind_shard_gauge(std::atomic<std::size_t>* shard) {
+void Session::move_to(std::size_t shard,
+                      std::atomic<std::size_t>* shard_gauge) {
   std::lock_guard<std::mutex> lock(mu_);
+  shard_.store(shard, std::memory_order_release);
   const std::size_t n = queue_.size();
   if (n != 0 && shard_in_flight_ != nullptr)
     shard_in_flight_->fetch_sub(n, std::memory_order_relaxed);
-  shard_in_flight_ = shard;
+  shard_in_flight_ = shard_gauge;
   if (n != 0 && shard_in_flight_ != nullptr)
     shard_in_flight_->fetch_add(n, std::memory_order_relaxed);
+}
+
+void Session::request_move(std::size_t target) {
+  std::lock_guard<std::mutex> lock(mu_);
+  migrating_ = true;
+  move_target_ = target;
+}
+
+std::size_t Session::take_move() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::exchange(move_target_, kNoMove);
+}
+
+void Session::finish_move() {
+  std::lock_guard<std::mutex> lock(mu_);
+  migrating_ = move_target_ != kNoMove;
 }
 
 void Session::note_admission_rejected() {

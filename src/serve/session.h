@@ -7,7 +7,9 @@
 // Thread contract: producer-facing methods (enqueue, take_results, the
 // queue counters) are mutex-protected and may be called from any thread;
 // everything in the "scheduler side" section is only ever touched by the
-// single scheduler thread, so it needs no locking.
+// scheduler thread of the shard the session is placed on, so it needs no
+// locking.  A migration hands that ownership to another shard's thread
+// (serve/server.h).
 
 #include <atomic>
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/tracking.h"
@@ -27,6 +30,32 @@
 namespace fuse::serve {
 
 using SessionId = std::size_t;
+
+/// Why a submit_frame/submit_cube call did (not) enqueue its frame.  The
+/// old bool collapsed "queue full", "admission refused" and "no such
+/// session" into one false; callers that only care use accepted().
+enum class SubmitResult {
+  kAccepted,           ///< enqueued for serving
+  /// Enqueued, but the session is quarantined: it will be served from
+  /// the shared meta-init with adaptation disabled.  An *accepted*
+  /// variant — the frame still produces a result — carried in the code
+  /// so producers can surface the sensor problem.
+  kQuarantined,
+  kQueueFull,          ///< bounded queue full under DropPolicy::kDropNewest
+  kAdmissionRejected,  ///< global max_in_flight budget exhausted
+  kUnknownSession,     ///< no session with that id
+  kNoProcessor,        ///< submit_cube without a ServeConfig::processor
+  /// The session is mid-move to another shard (its queue is being drained
+  /// for replay there); retry after the move commits — one scheduler tick.
+  kMigrating,
+};
+
+/// True when the frame was enqueued and will produce a result.
+constexpr bool accepted(SubmitResult r) {
+  return r == SubmitResult::kAccepted || r == SubmitResult::kQuarantined;
+}
+
+const char* submit_result_name(SubmitResult r);
 
 /// What to do when a frame arrives and the session's input queue is full.
 enum class DropPolicy {
@@ -86,7 +115,9 @@ struct PoseResult {
 
 class Session {
  public:
-  Session(SessionId id, SessionConfig cfg) : id_(id), cfg_(std::move(cfg)) {
+  /// `shard` is the shard the session starts on (see shard()).
+  Session(SessionId id, SessionConfig cfg, std::size_t shard = 0)
+      : id_(id), cfg_(std::move(cfg)), shard_(shard) {
     tracker_ = fuse::core::PoseTracker(cfg_.tracker);
   }
   ~Session() {
@@ -124,14 +155,18 @@ class Session {
   };
 
   /// Enqueues a frame; applies the drop policy when the queue is full.
-  /// Returns false iff the *incoming* frame was rejected (kDropNewest).
-  bool enqueue(const fuse::radar::PointCloud& cloud,
-               const fuse::human::Pose* label, double now_s);
+  /// Returns kQueueFull iff the *incoming* frame was rejected
+  /// (kDropNewest), kMigrating (frame not enqueued) while a move is
+  /// pending — tested under the same lock as the push, so no frame can
+  /// land on a queue a move has already drained — else kAccepted or
+  /// kQuarantined.
+  SubmitResult enqueue(const fuse::radar::PointCloud& cloud,
+                       const fuse::human::Pose* label, double now_s);
 
-  /// Enqueues a raw radar cube (same drop policy); the DSP front-end runs
-  /// on the scheduler thread when the frame is collected.
-  bool enqueue_cube(fuse::radar::RadarCube cube,
-                    const fuse::human::Pose* label, double now_s);
+  /// Enqueues a raw radar cube (same drop policy and results); the DSP
+  /// front-end runs on the scheduler thread when the frame is collected.
+  SubmitResult enqueue_cube(fuse::radar::RadarCube cube,
+                            const fuse::human::Pose* label, double now_s);
 
   /// Moves out every finished result (FIFO).
   std::vector<PoseResult> take_results();
@@ -231,24 +266,33 @@ class Session {
     return quarantined_;
   }
 
-  // ---------------------------------------- cross-shard migration (PR 10) --
-  /// While a session is mid-move the submit paths bounce new frames with
-  /// SubmitResult::kMigrating instead of enqueueing onto a queue that is
-  /// about to be drained.  Set/cleared by the migration driver only.
-  void begin_migration() {
-    std::lock_guard<std::mutex> lock(mu_);
-    migrating_ = true;
-  }
-  void end_migration() {
-    std::lock_guard<std::mutex> lock(mu_);
-    migrating_ = false;
-  }
+  // ------------------------------------------- placement and migration --
+  // The session records the shard it lives on; serve::Server's registry
+  // reads it to route submits and to hand each shard its sessions.  A
+  // move is requested from any thread and executed by the source shard's
+  // pass (the owner of the scheduler-side state); see Server.
+  static constexpr std::size_t kNoMove = static_cast<std::size_t>(-1);
+
+  /// The shard this session lives on.  Changed only by move_to().
+  std::size_t shard() const { return shard_.load(std::memory_order_acquire); }
+
+  /// True from request_move() until finish_move() of the last requested
+  /// move: submits answer kMigrating in between.
   bool migrating() const {
     std::lock_guard<std::mutex> lock(mu_);
     return migrating_;
   }
   /// Producer side: a submit arrived mid-move and was bounced.
   void note_migration_rejected();
+
+  /// Marks a move to `target` (any thread; the latest request wins if
+  /// the previous one has not started).
+  void request_move(std::size_t target);
+  /// Owner pass: takes the requested target (kNoMove when there is none).
+  std::size_t take_move();
+  /// Owner pass: the taken move committed or rolled back.  Submits
+  /// reopen unless another move was requested meanwhile.
+  void finish_move();
 
   /// Migration driver: empties the queue and releases the queued frames'
   /// gauge slots, returning the frames for replay on the target shard.
@@ -259,14 +303,21 @@ class Session {
   /// their gauge slots.  Capacity is not re-checked: the frames held slots
   /// moments ago and the queue was just drained.
   void requeue(std::deque<InFrame> frames);
-  /// Migration driver: repoints the per-shard gauge at the target shard's,
-  /// moving any currently queued frames' counts from the old gauge to the
-  /// new.  The global admission gauge is unaffected.
-  void rebind_shard_gauge(std::atomic<std::size_t>* shard);
+  /// Migration commit: places the session on `shard` and repoints the
+  /// per-shard gauge at that shard's, moving any currently queued
+  /// frames' counts from the old gauge to the new.  The global admission
+  /// gauge is unaffected.
+  void move_to(std::size_t shard, std::atomic<std::size_t>* shard_gauge);
+
+  /// Scheduler side: set by the source shard when the session's adapted
+  /// clone moves with it; the target shard registers the clone with its
+  /// own store on its next pass (or persist) and clears the flag.
+  void hand_off_clone() { clone_handoff_ = true; }
+  bool take_clone_handoff() { return std::exchange(clone_handoff_, false); }
 
  private:
   /// Shared enqueue tail: stamps the frame and applies the drop policy.
-  bool enqueue_frame(InFrame f, double now_s);
+  SubmitResult enqueue_frame(InFrame f, double now_s);
 
   /// Ticks both bound gauges by +n / -n (callers hold mu_ or are the
   /// destructor).
@@ -306,6 +357,10 @@ class Session {
   std::uint64_t migration_rejected_ = 0;
   bool quarantined_ = false;
   bool migrating_ = false;
+  std::size_t move_target_ = kNoMove;  ///< requested, not yet taken
+  /// Written under mu_ and the server's registry lock; atomic so routing
+  /// can read it without either.
+  std::atomic<std::size_t> shard_;
   /// Bound queued-frame gauges (see bind_in_flight): the server-global
   /// admission gauge and the owning shard's local gauge.
   std::atomic<std::size_t>* global_in_flight_ = nullptr;
@@ -325,6 +380,7 @@ class Session {
   std::unique_ptr<fuse::nn::Module> adapted_;
   std::deque<LabeledSample> adapt_buffer_;
   std::size_t fresh_labeled_ = 0;
+  bool clone_handoff_ = false;
 };
 
 }  // namespace fuse::serve

@@ -1,24 +1,15 @@
 #include "serve/shard.h"
 
-#include <algorithm>
-#include <chrono>
-#include <limits>
-#include <stdexcept>
 #include <string>
-
-#include "util/fault.h"
-#include "util/log.h"
+#include <utility>
 
 namespace fuse::serve {
 
 Shard::Shard(const fuse::core::Predictor* predictor,
              const fuse::nn::Module* shared_model, const ServeConfig& cfg,
-             std::size_t index, std::atomic<std::size_t>* global_in_flight)
-    : predictor_(predictor),
-      shared_model_(shared_model),
-      cfg_(cfg),
+             std::size_t index)
+    : cfg_(cfg),
       index_(index),
-      global_in_flight_(global_in_flight),
       scheduler_(predictor, shared_model, cfg.max_batch, cfg.backend,
                  cfg.processor) {
   // Per-shard clone store: shards must never share checkpoint files, so
@@ -28,7 +19,7 @@ Shard::Shard(const fuse::core::Predictor* predictor,
   if (!cfg_.clone_store.dir.empty() && cfg_.num_shards > 1)
     cfg_.clone_store.dir += "/shard_" + std::to_string(index_);
   scheduler_.set_detailed_stats(cfg_.detailed_stats);
-  clone_store_.configure(cfg_.clone_store, shared_model_);
+  clone_store_.configure(cfg_.clone_store, shared_model);
   scheduler_.set_clone_store(&clone_store_);
   detector_ = OverloadDetector(cfg_.overload);
   scheduler_.set_shed_deadline(cfg_.overload.shed_deadline_s);
@@ -36,52 +27,7 @@ Shard::Shard(const fuse::core::Predictor* predictor,
 
 Shard::~Shard() { stop(); }
 
-void Shard::open_session(SessionId id, SessionConfig scfg) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  auto s = std::make_shared<Session>(id, std::move(scfg));
-  s->bind_in_flight(global_in_flight_, &shard_in_flight_);
-  sessions_.emplace(id, std::move(s));
-  FUSE_LOG_DEBUG("serve: opened session %zu on shard %zu", id, index_);
-}
-
-void Shard::close_session(SessionId id) {
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.erase(id);
-  }
-  // Scheduler-side cleanup (entry + checkpoint file) happens at the start
-  // of the next pass; until then the store never dereferences the session.
-  clone_store_.request_forget(id);
-}
-
-void Shard::recycle_session(SessionId id) {
-  auto s = find(id);
-  if (s) s->request_recycle();
-}
-
-std::size_t Shard::session_count() const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  return sessions_.size();
-}
-
-std::shared_ptr<Session> Shard::find(SessionId id) const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second;
-}
-
-std::vector<std::shared_ptr<Session>> Shard::snapshot_sessions() const {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  std::vector<std::shared_ptr<Session>> out;
-  out.reserve(sessions_.size());
-  for (const auto& [id, s] : sessions_) out.push_back(s);
-  // Deterministic scheduling order regardless of hash-map iteration.
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a->id() < b->id(); });
-  return out;
-}
-
-void Shard::wake_scheduler() {
+void Shard::wake() {
   if (!running_) return;
   // The flag is set under wake_mu_, so the scheduler cannot miss a frame
   // submitted between its last empty pass and its wait.
@@ -92,112 +38,20 @@ void Shard::wake_scheduler() {
   wake_cv_.notify_one();
 }
 
-namespace {
-/// Sensor-corruption fault: poke a quiet NaN into the payload.  The
-/// scheduler's input guards, not the producer, must catch it — exactly as
-/// with a real glitching sensor.
-constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
-}  // namespace
-
-bool Shard::admit(Session& s) {
-  if (cfg_.max_in_flight == 0 ||
-      global_in_flight_->load(std::memory_order_relaxed) < cfg_.max_in_flight)
-    return true;
-  s.note_admission_rejected();
-  return false;
+void Shard::adopt_clones(
+    const std::vector<std::shared_ptr<Session>>& sessions) {
+  for (const auto& s : sessions)
+    if (s->take_clone_handoff() && clone_store_.enabled() &&
+        s->adapted_model() != nullptr)
+      clone_store_.note_adapted(*s);
 }
 
-SubmitResult Shard::submit_frame(SessionId id,
-                                 const fuse::radar::PointCloud& cloud,
-                                 const fuse::human::Pose* label) {
-  auto s = find(id);
-  if (!s) return SubmitResult::kUnknownSession;
-  if (s->migrating()) {
-    // Mid-move: the queue is being drained for replay on the target shard;
-    // enqueueing here would strand the frame.  Retry-after semantics — the
-    // producer resubmits once the move commits (one scheduler tick).
-    s->note_migration_rejected();
-    return SubmitResult::kMigrating;
-  }
-  if (!admit(*s)) return SubmitResult::kAdmissionRejected;
-  fuse::human::Pose bad_label;
-  if (label != nullptr &&
-      fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptLabel)) {
-    bad_label = *label;
-    bad_label.joints[0].x = kNaN;
-    label = &bad_label;
-  }
-  bool enqueued;
-  if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCloud)) {
-    fuse::radar::PointCloud bad = cloud;
-    if (bad.points.empty()) bad.points.emplace_back();
-    bad.points[0].y = kNaN;
-    enqueued = s->enqueue(bad, label, mono_seconds());
-  } else {
-    enqueued = s->enqueue(cloud, label, mono_seconds());
-  }
-  wake_scheduler();
-  if (!enqueued) return SubmitResult::kQueueFull;
-  // Quarantined sessions still serve (from the shared meta-init), so the
-  // frame IS enqueued — the code just surfaces the sensor problem.
-  return s->quarantined() ? SubmitResult::kQuarantined
-                          : SubmitResult::kAccepted;
-}
-
-SubmitResult Shard::submit_cube(SessionId id, fuse::radar::RadarCube cube,
-                                const fuse::human::Pose* label) {
-  if (cfg_.processor == nullptr)  // no DSP front-end wired
-    return SubmitResult::kNoProcessor;
-  auto s = find(id);
-  if (!s) return SubmitResult::kUnknownSession;
-  if (s->migrating()) {
-    s->note_migration_rejected();
-    return SubmitResult::kMigrating;
-  }
-  if (!admit(*s)) return SubmitResult::kAdmissionRejected;
-  fuse::human::Pose bad_label;
-  if (label != nullptr &&
-      fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptLabel)) {
-    bad_label = *label;
-    bad_label.joints[0].x = kNaN;
-    label = &bad_label;
-  }
-  if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCube) &&
-      cube.n_virtual() > 0)
-    cube.at(0, 0, 0) = {kNaN, kNaN};
-  const bool enqueued = s->enqueue_cube(std::move(cube), label,
-                                        mono_seconds());
-  wake_scheduler();
-  if (!enqueued) return SubmitResult::kQueueFull;
-  return s->quarantined() ? SubmitResult::kQuarantined
-                          : SubmitResult::kAccepted;
-}
-
-std::vector<PoseResult> Shard::poll_results(SessionId id) {
-  auto s = find(id);
-  if (!s) return {};
-  auto out = s->take_results();
-  // Result-poll stage: how long finished results sat waiting for the
-  // consumer.  Recorded here (consumer thread) under the stats lock — the
-  // same merge point the scheduler's pass-local telemetry goes through.
-  if (kTelemetryCompiled && cfg_.detailed_stats && !out.empty()) {
-    const double now = mono_seconds();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    for (const auto& r : out)
-      telem_.stages.record(Stage::kResultPoll, now - r.t_ready);
-  }
-  return out;
-}
-
-std::size_t Shard::run_once() {
-  // The pass lock excludes the migration driver for the whole tick: a
-  // session is never moved out from under a running pass.  Uncontended in
-  // steady state (one lock/unlock per tick).
-  std::lock_guard<std::mutex> pass_lock(pass_mu_);
-  const auto snapshot = snapshot_sessions();
+std::size_t Shard::run_pass(
+    const std::vector<std::shared_ptr<Session>>& owned) {
+  adopt_clones(owned);
   std::vector<Session*> sessions;
-  sessions.reserve(snapshot.size());
-  for (const auto& s : snapshot) sessions.push_back(s.get());
+  sessions.reserve(owned.size());
+  for (const auto& s : owned) sessions.push_back(s.get());
   // The pass runs lock-free into local telemetry; the cumulative stats are
   // only locked for the merge, so stats() never waits on an inference pass
   // and a snapshot always observes whole passes.
@@ -225,20 +79,15 @@ std::size_t Shard::run_once() {
   batches_ += pass.batches;
   batched_frames_ += pass.batched_frames;
   // Queue depth over time: one post-pass gauge sample per tick into the
-  // bounded ring (ROADMAP item 5's leftover — the export shows the curve,
-  // not just the high-water mark).
+  // bounded ring (the export shows the curve, not just the high-water
+  // mark).
   depth_series_.record(shard_in_flight_.load(std::memory_order_relaxed));
   return pass.served;
 }
 
-std::size_t Shard::drain() {
-  std::size_t total = 0;
-  while (const std::size_t served = run_once()) total += served;
-  return total;
-}
-
-void Shard::start() {
+void Shard::start(std::function<std::size_t()> pass) {
   if (running_) return;
+  pass_ = std::move(pass);
   stop_requested_ = false;
   running_ = true;
   thread_ = std::thread([this] { scheduler_loop(); });
@@ -257,13 +106,13 @@ void Shard::stop() {
 
 void Shard::scheduler_loop() {
   for (;;) {
-    const std::size_t served = run_once();
-    if (served > 0) continue;
+    if (pass_() > 0) continue;
     std::unique_lock<std::mutex> lock(wake_mu_);
     if (stop_requested_) {
       // Final sweep so frames submitted just before stop() are served.
       lock.unlock();
-      drain();
+      while (pass_() > 0) {
+      }
       return;
     }
     // An idle shard blocks here until a producer flags new work; the
@@ -273,44 +122,26 @@ void Shard::scheduler_loop() {
   }
 }
 
-void Shard::persist_clones() {
-  if (running_)
-    throw std::logic_error("Server::persist_clones: stop() the server first");
+void Shard::persist_clones(
+    const std::vector<std::shared_ptr<Session>>& owned) {
   if (!clone_store_.enabled()) return;
   // The store's scheduler-thread contract holds here: no scheduler thread
   // is running, so this caller IS the scheduler side.  Queued forgets are
-  // drained first so closed sessions never reach the manifest.
+  // drained first so closed sessions never reach the manifest, and a
+  // clone that migrated in after this shard's last pass is adopted.
   clone_store_.begin_pass();
-  const auto snapshot = snapshot_sessions();
+  adopt_clones(owned);
   std::vector<Session*> sessions;
-  sessions.reserve(snapshot.size());
-  for (const auto& s : snapshot) sessions.push_back(s.get());
+  sessions.reserve(owned.size());
+  for (const auto& s : owned) sessions.push_back(s.get());
   clone_store_.persist(sessions);
 }
 
-std::vector<SessionId> Shard::restore_clones(const SessionConfig& scfg) {
-  if (running_)
-    throw std::logic_error("Server::restore_clones: call before start()");
-  const auto ids = clone_store_.restore();
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (const SessionId id : ids) {
-    if (sessions_.count(id))
-      throw std::logic_error("Server::restore_clones: session id " +
-                             std::to_string(id) + " already open");
-    auto s = std::make_shared<Session>(id, scfg);
-    s->bind_in_flight(global_in_flight_, &shard_in_flight_);
-    sessions_.emplace(id, std::move(s));
-  }
-  FUSE_LOG_DEBUG("serve: shard %zu restored %zu clone sessions", index_,
-                 ids.size());
-  return ids;
-}
-
-ShardRawStats Shard::raw_stats() const {
+ShardRawStats Shard::raw_stats(
+    const std::vector<std::shared_ptr<Session>>& sessions) const {
   ShardRawStats out;
-  const auto snapshot = snapshot_sessions();
-  out.sessions.reserve(snapshot.size());
-  for (const auto& s : snapshot) out.sessions.push_back(s->stats_snapshot());
+  out.sessions.reserve(sessions.size());
+  for (const auto& s : sessions) out.sessions.push_back(s->stats_snapshot());
   out.in_flight = shard_in_flight_.load(std::memory_order_relaxed);
   out.overload_level = overload_level_.load(std::memory_order_relaxed);
   out.overload_transitions =
@@ -329,26 +160,12 @@ ShardRawStats Shard::raw_stats() const {
   return out;
 }
 
-std::shared_ptr<Session> Shard::detach_session(SessionId id) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return nullptr;
-  auto s = std::move(it->second);
-  sessions_.erase(it);
-  return s;
-}
-
-void Shard::attach_session(std::shared_ptr<Session> s) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  sessions_.emplace(s->id(), std::move(s));
-}
-
-std::vector<std::pair<SessionId, std::size_t>> Shard::session_depths() const {
-  const auto snapshot = snapshot_sessions();
-  std::vector<std::pair<SessionId, std::size_t>> out;
-  out.reserve(snapshot.size());
-  for (const auto& s : snapshot) out.emplace_back(s->id(), s->queue_depth());
-  return out;
+void Shard::record_poll(const std::vector<PoseResult>& polled) {
+  if (!(kTelemetryCompiled && cfg_.detailed_stats) || polled.empty()) return;
+  const double now = mono_seconds();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  for (const auto& r : polled)
+    telem_.stages.record(Stage::kResultPoll, now - r.t_ready);
 }
 
 void Shard::record_migration(double seconds) {

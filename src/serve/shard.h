@@ -2,27 +2,27 @@
 // Shard — one scheduler shard of the serving plane (internal engine
 // behind serve::Server; not part of the public API).
 //
-// A shard is exactly the pre-shard single-thread serving runtime: it owns
-// its slice of the session map, one Scheduler (and therefore one private
-// FrameWorkspace / featurize scratch), one clone-store instance, one
-// OverloadDetector, and — in threaded mode — one scheduler thread with
-// its own wake condition variable.  serve::Server places sessions across
-// N of these (home hash + migration overrides); with N == 1 the engine is
-// bit-compatible with the pre-shard scheduler (the equivalence oracle).
+// A shard owns one Scheduler (and therefore one private FrameWorkspace /
+// featurize scratch), one clone-store instance, one OverloadDetector,
+// its queue-depth gauge and — in threaded mode — one scheduler thread
+// with its own wake condition variable.  It holds no sessions: the
+// Server's registry does, and hands each pass the sessions placed on
+// this shard, in id order.  With one shard the engine is bit-compatible
+// with the pre-shard scheduler (the equivalence oracle).
 //
 // Gauge contract (see server.h): every accepted frame ticks TWO gauges —
 // the server-global admission gauge (bounds total queued frames for
-// max_in_flight) and this shard's local gauge, which is what feeds the
-// shard's overload detector, so a hot shard engages its degradation
-// ladder regardless of how idle the other shards are.
+// max_in_flight) and the gauge of the shard the session lives on, which
+// is what feeds the shard's overload detector, so a hot shard engages
+// its degradation ladder regardless of how idle the other shards are.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/predictor.h"
@@ -62,69 +62,46 @@ class Shard {
  public:
   /// `cfg` is the server-wide config; with num_shards > 1 the shard
   /// rewrites its clone-store dir to `<dir>/shard_<index>` so stores
-  /// never share checkpoint files.  `global_in_flight` is the server's
-  /// admission gauge (borrowed; outlives the shard).
+  /// never share checkpoint files.
   Shard(const fuse::core::Predictor* predictor,
         const fuse::nn::Module* shared_model, const ServeConfig& cfg,
-        std::size_t index, std::atomic<std::size_t>* global_in_flight);
+        std::size_t index);
   ~Shard();
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
 
-  std::size_t index() const { return index_; }
+  /// One scheduling pass over `sessions` (this shard's, in id order):
+  /// adopts migrated clones into the store, runs the scheduler, feeds the
+  /// overload detector and merges the pass telemetry.  Returns frames
+  /// served.  Only ever called by the thread that owns this shard's
+  /// passes (the shard thread, or the synchronous caller).
+  std::size_t run_pass(const std::vector<std::shared_ptr<Session>>& sessions);
 
-  // ------------------------------------------------------------ sessions --
-  /// Ids are allocated by the Server (which owns the max_sessions cap).
-  void open_session(SessionId id, SessionConfig scfg);
-  void close_session(SessionId id);
-  void recycle_session(SessionId id);
-  std::size_t session_count() const;
-
-  // ------------------------------------------------------------- frames --
-  SubmitResult submit_frame(SessionId id, const fuse::radar::PointCloud& cloud,
-                            const fuse::human::Pose* label);
-  SubmitResult submit_cube(SessionId id, fuse::radar::RadarCube cube,
-                           const fuse::human::Pose* label);
-  std::vector<PoseResult> poll_results(SessionId id);
-
-  // ------------------------------------------------- scheduling / thread --
-  std::size_t run_once();
-  std::size_t drain();
-  void start();
+  // ------------------------------------------------------------ threaded --
+  /// Spawns the scheduler thread, which calls `pass` until it serves
+  /// nothing, then sleeps until wake() or stop().
+  void start(std::function<std::size_t()> pass);
+  /// Runs `pass` until it serves nothing (frames submitted just before
+  /// the call are served), then joins the thread.
   void stop();
-  bool running() const { return running_; }
+  /// Flags pending work and wakes the scheduler thread; no-op when the
+  /// thread is not running.  Any thread.
+  void wake();
 
   // -------------------------------------------------------- warm restart --
-  void persist_clones();
-  /// Registers the shard store's checkpoints and re-creates their
-  /// sessions; returns the restored ids (Server validates the id -> shard
-  /// mapping and enforces max_sessions).
-  std::vector<SessionId> restore_clones(const SessionConfig& scfg);
+  /// Checkpoints `sessions`' clones and writes this shard's manifest.
+  /// Caller guarantees no scheduler thread runs.
+  void persist_clones(const std::vector<std::shared_ptr<Session>>& sessions);
 
   // ----------------------------------------------------------- telemetry --
-  ShardRawStats raw_stats() const;
-
-  // -------------------------------------- cross-shard migration (PR 10) --
-  // Primitives the Server's migration driver composes.  All of them are
-  // only safe while the caller holds BOTH involved shards' pass locks (or
-  // no scheduler threads run): they touch scheduler-owned state.
-  /// Excludes this shard's scheduler pass: run_once holds this for the
-  /// whole tick, so a holder observes no mid-pass state.  External callers
-  /// (the migration driver) lock source and target ordered by index —
-  /// shard threads only ever take their own, so the order cannot deadlock.
-  std::unique_lock<std::mutex> lock_pass() {
-    return std::unique_lock<std::mutex>(pass_mu_);
-  }
-  std::shared_ptr<Session> find(SessionId id) const;
-  /// Removes the session from this shard's map WITHOUT queueing a
-  /// clone-store forget (the caller owns the clone handoff).
-  std::shared_ptr<Session> detach_session(SessionId id);
-  void attach_session(std::shared_ptr<Session> s);
-  CloneStore& store() { return clone_store_; }
-  std::atomic<std::size_t>* gauge() { return &shard_in_flight_; }
-  /// (id, queue depth) per session — the load balancer's pick input.
-  std::vector<std::pair<SessionId, std::size_t>> session_depths() const;
+  ShardRawStats raw_stats(
+      const std::vector<std::shared_ptr<Session>>& sessions) const;
+  /// Records the result-poll stage (how long `polled` results sat waiting
+  /// for the consumer).  Any thread.
+  void record_poll(const std::vector<PoseResult>& polled);
+  /// Records one migrate-stage sample (drain -> rebind wall time).
+  void record_migration(double seconds);
   void note_migration_in() {
     migrations_in_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -134,40 +111,27 @@ class Shard {
   void note_migration_failure() {
     migration_failures_.fetch_add(1, std::memory_order_relaxed);
   }
-  /// Records one migrate-stage sample (drain -> rebind wall time) into
-  /// this shard's cumulative telemetry.
-  void record_migration(double seconds);
+
+  /// Mutated only from this shard's passes (clone_store.h contract).
+  CloneStore& store() { return clone_store_; }
+  /// This shard's queued frames: feeds the shard's overload detector.
+  std::atomic<std::size_t>* gauge() { return &shard_in_flight_; }
 
  private:
-  /// Admission gate: false = the GLOBAL in-flight budget is full and the
-  /// frame was refused (counted against `s`).
-  bool admit(Session& s);
-  std::vector<std::shared_ptr<Session>> snapshot_sessions() const;
+  /// Registers clones that migrated in since the last pass.
+  void adopt_clones(const std::vector<std::shared_ptr<Session>>& sessions);
   void scheduler_loop();
-  /// Flags pending work (under wake_mu_) and wakes the shard's scheduler
-  /// thread; no-op in synchronous mode.
-  void wake_scheduler();
 
-  const fuse::core::Predictor* predictor_;
-  const fuse::nn::Module* shared_model_;
   ServeConfig cfg_;  ///< server config with this shard's clone-store dir
   const std::size_t index_;
-  /// Server-global admission gauge (max_in_flight) — shared across
-  /// shards.  Declared before sessions_ so sessions (which drain it on
-  /// destruction) die first; the atomic itself outlives the shard.
-  std::atomic<std::size_t>* global_in_flight_;
-  /// This shard's queued frames: feeds the shard's overload detector.
   std::atomic<std::size_t> shard_in_flight_{0};
   CloneStore clone_store_;
   Scheduler scheduler_;
-  /// Scheduling-thread only (fed by run_once); level/transitions are
-  /// mirrored into the atomics below for any-thread stats readers.
+  /// Pass-thread only; level/transitions are mirrored into the atomics
+  /// below for any-thread stats readers.
   OverloadDetector detector_;
   std::atomic<int> overload_level_{0};
   std::atomic<std::uint64_t> overload_transitions_{0};
-
-  mutable std::mutex sessions_mu_;
-  std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
 
   mutable std::mutex stats_mu_;
   LatencyHistogram latency_;
@@ -176,18 +140,17 @@ class Shard {
   std::uint64_t batched_frames_ = 0;
   QueueDepthSeries depth_series_;  ///< one gauge sample per pass
 
-  /// Held for the full run_once tick; see lock_pass().
-  std::mutex pass_mu_;
   std::atomic<std::uint64_t> migrations_in_{0};
   std::atomic<std::uint64_t> migrations_out_{0};
   std::atomic<std::uint64_t> migration_failures_{0};
 
+  std::function<std::size_t()> pass_;  ///< set by start()
   std::thread thread_;
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   std::atomic<bool> running_{false};
   bool stop_requested_ = false;  ///< guarded by wake_mu_
-  bool work_pending_ = false;    ///< guarded by wake_mu_; set by producers
+  bool work_pending_ = false;    ///< guarded by wake_mu_; set by wake()
 };
 
 }  // namespace fuse::serve

@@ -841,6 +841,42 @@ TEST(Reshard, FourToTwoToFourRoundTripIsBitIdentical) {
   fs::remove_all(dir);
 }
 
+TEST(Reshard, MigrationOntoLowerShardIsPersistedByTheTarget) {
+  // A move from shard 1 to shard 0 commits at the top of shard 1's pass,
+  // after shard 0's pass of the same tick, so shard 0's store first sees
+  // the clone at persist_clones().  It must still checkpoint it there, and
+  // the shard_map must pin the session to shard 0 across a restart.
+  auto& pl = world();
+  const std::string dir = fresh_dir("fuse_migrate_lower");
+  ServeConfig cfg = adapting_cfg();
+  cfg.num_shards = 2;
+  cfg.clone_store.dir = dir;
+  cfg.session.tracking = false;
+  const auto probe = labeled_frames(3, 5);
+  std::vector<fuse::serve::SessionId> ids;  // 1, 2: homes 0, 1
+  const auto ref = adapt_and_persist(cfg, 2, probe, &ids);
+  const std::string clone = "clone_" + std::to_string(ids[1]) + ".delta";
+  {
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    ASSERT_EQ(server.restore_clones(cfg.session).size(), 2u);
+    ASSERT_EQ(server.shard_of(ids[1]), 1u);
+    ASSERT_TRUE(server.migrate_session(ids[1], 0));
+    server.run_once();
+    ASSERT_EQ(server.shard_of(ids[1]), 0u);
+    server.persist_clones();
+    EXPECT_EQ(server.stats().clone_store.tracked, 2u);
+  }
+  EXPECT_TRUE(fs::exists(dir + "/shard_0/" + clone));
+  EXPECT_FALSE(fs::exists(dir + "/shard_1/" + clone));
+  {
+    Server server(&pl.predictor(), &pl.model(), cfg);
+    ASSERT_EQ(server.restore_clones(cfg.session).size(), 2u);
+    EXPECT_EQ(server.shard_of(ids[1]), 0u);  // pinned by the map
+  }
+  expect_restore_bit_exact(cfg, ids, probe, ref);
+  fs::remove_all(dir);
+}
+
 TEST(Reshard, FlatAndMigratedPlacementTransitions) {
   // Flat (1-shard) <-> sharded transitions, plus a live-migrated
   // placement surviving persist / restore / re-shard.

@@ -21,6 +21,7 @@
 #include "nn/quant.h"
 #include "serve/server.h"
 #include "serve/stats.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace {
@@ -966,6 +967,10 @@ TEST(Shard, HashIsStableAcrossCloseAndRecycle) {
   const auto a = server.open_session();  // id 1 -> shard 0
   const auto b = server.open_session();  // id 2 -> shard 1
   const auto c = server.open_session();  // id 3 -> shard 0
+  // An id that is not open yet reports its home hash — where
+  // open_session will place it (load generators rely on this).
+  EXPECT_EQ(server.shard_of(c + 1), 1u);
+  EXPECT_EQ(server.shard_of(c + 2), 0u);
   EXPECT_EQ(server.shard_of(a), 0u);
   EXPECT_EQ(server.shard_of(b), 1u);
   EXPECT_EQ(server.shard_of(c), 0u);
@@ -1416,7 +1421,9 @@ TEST(Migrate, ThreadedMigrationKeepsServingAndConservesFrames) {
       const auto r = server.submit_frame(id, frames[i % frames.size()]);
       if (r == SubmitResult::kAccepted) ++accepted_count;
       // kMigrating is the only other legal code here: retry-after.
-      if (!accepted(r)) EXPECT_EQ(r, SubmitResult::kMigrating);
+      if (!accepted(r)) {
+        EXPECT_EQ(r, SubmitResult::kMigrating);
+      }
       ++i;
       if (i % 16 == 0) std::this_thread::yield();
     }
@@ -1443,6 +1450,94 @@ TEST(Migrate, ThreadedMigrationKeepsServingAndConservesFrames) {
   EXPECT_EQ(stats.migrations + stats.migration_failures, 20u);
   EXPECT_EQ(stats.migration_failures, 0u);
 }
+
+TEST(Migrate, ThreadedMoveWakesIdleTargetForTheReplayedBacklog) {
+  // The move requeues the drained backlog onto the target shard; with
+  // nothing submitted afterwards, only the commit's wake gets an idle
+  // target thread to serve it.
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.num_shards = 2;
+  cfg.max_batch = 1;  // one frame per pass keeps a backlog on the source
+  cfg.session.queue_capacity = 64;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto id = server.open_session();  // id 1 -> shard 0
+  const auto frames = sequence_frames(0, 64);
+  server.start();
+  std::size_t accepted_count = 0;
+  for (const auto& f : frames)
+    if (accepted(server.submit_frame(id, f))) ++accepted_count;
+  ASSERT_EQ(accepted_count, frames.size());
+  ASSERT_TRUE(server.migrate_session(id, 1));
+  EXPECT_EQ(server.shard_of(id), 1u);
+
+  std::size_t polled = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (polled < accepted_count &&
+         std::chrono::steady_clock::now() < deadline) {
+    polled += server.poll_results(id).size();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(polled, accepted_count);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.per_shard.at(1).migrations_in, 1u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  server.stop();
+}
+
+TEST(Migrate, CloseDuringPendingMoveCancelsIt) {
+  // Synchronous: the move is requested, the session closes, and the next
+  // tick has nothing to move.
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.num_shards = 2;
+  cfg.session.queue_capacity = 64;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto id = server.open_session();  // id 1 -> shard 0
+  for (const auto& f : sequence_frames(0, 8))
+    ASSERT_TRUE(accepted(server.submit_frame(id, f)));
+  ASSERT_TRUE(server.migrate_session(id, 1));
+  server.close_session(id);
+  server.run_once();
+  auto stats = server.stats();
+  EXPECT_EQ(stats.migrations, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  for (const auto& row : stats.per_shard) EXPECT_EQ(row.in_flight, 0u);
+  EXPECT_EQ(server.shard_of(id), 0u);  // not open: its home hash
+  EXPECT_FALSE(server.migrate_session(id, 1));
+}
+
+#if FUSE_FAULT_INJECT
+TEST(Migrate, CloseWhileThreadedMoverWaitsReturnsFalse) {
+  // A latency spike holds shard 0 inside a pass, so the mover is still
+  // waiting for the pass that would run its move when the session closes.
+  // It must return false (never hang), and nothing may migrate or leak.
+  fuse::util::FaultConfig fc;
+  fc.p(fuse::util::FaultPoint::kLatencySpike) = 1.0;
+  fc.spike_ms = 300.0;
+  fuse::util::ScopedFaults faults(fc);
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.num_shards = 2;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto id = server.open_session();  // id 1 -> shard 0
+  server.start();
+  ASSERT_TRUE(accepted(server.submit_frame(id, sequence_frames(0, 1)[0])));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // in the stall
+  std::atomic<bool> moved{true};
+  std::thread mover([&] { moved = server.migrate_session(id, 1); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.close_session(id);
+  mover.join();
+  EXPECT_FALSE(moved.load());
+  server.stop();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.migrations, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  for (const auto& row : stats.per_shard) EXPECT_EQ(row.in_flight, 0u);
+}
+#endif  // FUSE_FAULT_INJECT
 
 TEST(Migrate, QueueDepthSeriesTracksPerShardBacklog) {
   auto& pl = world();
