@@ -90,9 +90,11 @@ std::vector<PointCloud> stream_for(const fuse::data::Dataset& ds,
 }
 
 /// N independent single-sample pipelines: per-session window + tracker,
-/// one forward per frame.  Returns frames/sec.
+/// one forward per frame on `backend` (the server's backend, so the ratio
+/// is batching gain alone).  Returns frames/sec.
 double run_baseline(fuse::core::FusePipeline& pl,
-                    const std::vector<std::vector<PointCloud>>& streams) {
+                    const std::vector<std::vector<PointCloud>>& streams,
+                    fuse::nn::Backend backend) {
   const auto& pred = pl.predictor();
   const std::size_t n_frames = streams.empty() ? 0 : streams[0].size();
   std::vector<std::deque<PointCloud>> windows(streams.size());
@@ -105,7 +107,7 @@ double run_baseline(fuse::core::FusePipeline& pl,
       win.push_back(streams[s][i]);
       while (win.size() > pred.window_frames()) win.pop_front();
       const auto raw =
-          pred.predict_window(pl.model(), {win.begin(), win.end()});
+          pred.predict_window(pl.model(), {win.begin(), win.end()}, backend);
       const auto tracked = trackers[s].update(raw);
       checksum += tracked.joints[0].x;
     }
@@ -949,7 +951,7 @@ int main(int argc, char** argv) {
       for (std::size_t s = 0; s < n; ++s)
         streams.push_back(stream_for(pl.dataset(), s, n_frames));
 
-      const double base_fps = run_baseline(pl, streams);
+      const double base_fps = run_baseline(pl, streams, table_backend);
       std::vector<std::string> row{std::to_string(n),
                                    fuse::util::Table::num(base_fps, 0)};
       double best_fps = 0.0;

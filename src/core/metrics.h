@@ -19,14 +19,17 @@ struct MaeCm {
   double average() const { return (x + y + z) / 3.0; }
 };
 
-/// Evaluates a model on the given fused-sample indices (batched inference).
+/// Evaluates a model on the given fused-sample indices (batched inference
+/// at model.train_backend(), so the reported error is that of the exact
+/// arithmetic training optimised — bit-identical to forward()).
 MaeCm evaluate(const fuse::nn::Module& model,
                const fuse::data::FusedDataset& fused,
                const fuse::data::Featurizer& feat,
                const fuse::data::IndexSet& indices,
                std::size_t batch_size = 256);
 
-/// Per-joint MAE (cm, averaged over axes) — used by the rehab example.
+/// Per-joint MAE (cm, averaged over axes) at model.train_backend() — used
+/// by the rehab example.
 std::vector<double> per_joint_mae_cm(const fuse::nn::Module& model,
                                      const fuse::data::FusedDataset& fused,
                                      const fuse::data::Featurizer& feat,

@@ -56,7 +56,7 @@ FusePipeline::predict_window(const std::vector<fuse::radar::PointCloud>& window)
   require_prepared();
   if (window.empty())
     throw std::invalid_argument("predict_window: empty window");
-  return predictor_.predict_window(*model_, window);
+  return predictor_.predict_window(*model_, window, model_->train_backend());
 }
 
 fuse::human::Pose FusePipeline::push_frame(const fuse::radar::PointCloud& cloud) {
@@ -72,7 +72,8 @@ fuse::human::Pose FusePipeline::push_frame(const fuse::radar::PointCloud& cloud)
   for (const auto& c : stream_buffer_) stream_ptrs_.push_back(&c);
   predictor_.featurize_window(stream_ptrs_.data(), stream_ptrs_.size(),
                               stream_x_.data(), predict_scratch_);
-  return predictor_.predict(*model_, stream_x_).front();
+  return predictor_.predict(*model_, stream_x_, model_->train_backend())
+      .front();
 }
 
 fuse::human::Pose FusePipeline::push_cube(const fuse::radar::RadarCube& cube) {

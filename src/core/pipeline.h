@@ -64,6 +64,9 @@ class FusePipeline {
   /// Streaming inference: push one radar frame; returns the estimated pose
   /// once enough frames are buffered for the fusion window (always after
   /// the first frame — the window is clamped like the dataset pipeline).
+  /// Inference runs at the model's train_backend(), the arithmetic that
+  /// training and evaluate_test() use; pick another backend through
+  /// predictor() directly.
   fuse::human::Pose push_frame(const fuse::radar::PointCloud& cloud);
 
   /// Raw-cube streaming inference: runs the full sensor-to-prediction path
@@ -77,7 +80,8 @@ class FusePipeline {
   /// own raw-cube ingestion).
   const fuse::radar::Processor& processor() const { return *processor_; }
 
-  /// Estimates a pose from an explicit window of 2M+1 frames.
+  /// Estimates a pose from an explicit window of 2M+1 frames (at the
+  /// model's train_backend(), like push_frame).
   fuse::human::Pose
   predict_window(const std::vector<fuse::radar::PointCloud>& window);
 

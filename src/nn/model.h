@@ -1,6 +1,6 @@
 #pragma once
-// The MARS baseline CNN used (unchanged) by FUSE, expressed as a thin
-// nn::Sequential factory.
+// The MARS baseline CNN used (unchanged) by FUSE, as an nn::Sequential
+// factory.
 //
 // Architecture (Section 4.1 of the paper): two 3x3 convolution layers with
 // ReLU activations (16 and 32 filters), then two fully connected layers of
@@ -11,15 +11,13 @@
 // leaves the rest of the network untouched — which is exactly the paper's
 // claim that fusion is a pure pre-processing step.
 //
-// The class adds nothing over the Sequential it builds in its constructor
-// (same layer order and RNG draw order as the original hand-rolled model,
-// so parameters and outputs are bit-identical); it exists so call sites
-// can construct the paper's network directly and keep the in_channels()/
-// outputs() accessors.  Prefer nn::build_model("mars_cnn", cfg)
-// (nn/registry.h) in new code — training loops and the serving runtime
-// only ever see nn::Module.
+// The layer order and RNG draw order match the original hand-rolled model,
+// so a fixed seed yields bit-identical parameters and outputs.  Most code
+// builds it by name through nn::build_model("mars_cnn", cfg)
+// (nn/registry.h); training loops and the serving runtime only ever see
+// nn::Module.
 //
-// The model is a value type: copying it deep-copies all parameters, which
+// The result is a value type: copying it deep-copies all parameters, which
 // is what the MAML inner loop uses to adapt a per-task clone.
 
 #include <cstddef>
@@ -29,23 +27,12 @@
 
 namespace fuse::nn {
 
-class MarsCnn : public Sequential {
- public:
-  /// in_channels = 5 * (2M + 1); grid is the 8x8 MARS feature map.
-  MarsCnn(std::size_t in_channels, fuse::util::Rng& rng,
-          std::size_t grid_h = 8, std::size_t grid_w = 8,
-          std::size_t conv1_filters = 16, std::size_t conv2_filters = 32,
-          std::size_t hidden = 512, std::size_t outputs = 57);
-
-  std::unique_ptr<Module> clone() const override {
-    return std::make_unique<MarsCnn>(*this);
-  }
-
-  std::size_t in_channels() const { return in_channels_; }
-  std::size_t outputs() const { return outputs_; }
-
- private:
-  std::size_t in_channels_, outputs_;
-};
+/// in_channels = 5 * (2M + 1); grid is the 8x8 MARS feature map.  The
+/// returned network is named "mars_cnn".
+Sequential mars_cnn(std::size_t in_channels, fuse::util::Rng& rng,
+                    std::size_t grid_h = 8, std::size_t grid_w = 8,
+                    std::size_t conv1_filters = 16,
+                    std::size_t conv2_filters = 32, std::size_t hidden = 512,
+                    std::size_t outputs = 57);
 
 }  // namespace fuse::nn

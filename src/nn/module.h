@@ -13,9 +13,11 @@
 // tape):
 //  * forward() caches whatever backward() needs; backward() accumulates
 //    parameter gradients and returns dL/dx.
-//  * infer() is const and cache-free — same arithmetic as forward() with
-//    bit-identical outputs under Backend::kNaive — so one model instance
-//    can serve many reader threads concurrently (the serving hot path).
+//  * infer(x, backend) is const and cache-free — same arithmetic as
+//    forward(), with bit-identical outputs at train_backend() — so one
+//    model instance can serve many reader threads concurrently (the
+//    serving hot path).  There is no default backend: every caller names
+//    one.
 //  * params()/grads() expose the learnable state as flat tensor lists in a
 //    stable order; param_groups() additionally names coherent sub-lists
 //    (one per parameterised layer) so regimes like last-layer fine-tuning
@@ -59,10 +61,6 @@ enum class Backend {
   kInt8,
 };
 
-/// Process-wide default backend used by the single-argument infer().
-Backend default_backend();
-void set_default_backend(Backend b);
-
 const char* backend_name(Backend b);
 /// Inverse of backend_name ("naive" | "gemm" | "int8"); throws
 /// std::invalid_argument for anything else (bench/CLI parsing).
@@ -90,12 +88,9 @@ class Module {
 
   /// Batched inference-only forward: no caches are touched, so it is const
   /// and safe to call concurrently from many threads on a shared model.
-  Tensor infer(const Tensor& x) const { return do_infer(x, default_backend()); }
   Tensor infer(const Tensor& x, Backend backend) const {
     return do_infer(x, backend);
   }
-  /// Inference entry point for call sites that never backprop.
-  Tensor predict(const Tensor& x) const { return infer(x); }
 
   /// Backend used by the training passes (forward/backward).  Defaults to
   /// kGemm — the batched GEMM kernels — so every training loop (supervised,

@@ -1,10 +1,6 @@
 #include "nn/registry.h"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
 #include <stdexcept>
-#include <utility>
 
 #include "nn/layers.h"
 #include "nn/model.h"
@@ -15,19 +11,14 @@ namespace fuse::nn {
 
 namespace {
 
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, ModelFactory> factories;
-};
-
 std::unique_ptr<Module> build_mars_cnn(const ModelConfig& cfg,
                                        const std::string& name,
                                        std::size_t conv1, std::size_t conv2,
                                        std::size_t hidden) {
   fuse::util::Rng rng(cfg.seed);
-  auto model = std::make_unique<MarsCnn>(cfg.in_channels, rng, cfg.grid_h,
-                                         cfg.grid_w, conv1, conv2, hidden,
-                                         cfg.outputs);
+  auto model = std::make_unique<Sequential>(mars_cnn(
+      cfg.in_channels, rng, cfg.grid_h, cfg.grid_w, conv1, conv2, hidden,
+      cfg.outputs));
   model->set_arch_name(name);
   return model;
 }
@@ -46,61 +37,27 @@ std::unique_ptr<Module> build_mars_mlp(const ModelConfig& cfg) {
   return model;
 }
 
-Registry& registry() {
-  static Registry* r = [] {
-    auto* reg = new Registry;
-    // The paper's network (Section 4.1).
-    reg->factories["mars_cnn"] = [](const ModelConfig& cfg) {
-      return build_mars_cnn(cfg, "mars_cnn", 16, 32, 512);
-    };
-    // Doubled conv filters and hidden width: the capacity end of the
-    // capacity/latency trade-off the serving runtime can now explore.
-    reg->factories["mars_cnn_large"] = [](const ModelConfig& cfg) {
-      return build_mars_cnn(cfg, "mars_cnn_large", 32, 64, 1024);
-    };
-    // Conv-free baseline on the flattened grid.
-    reg->factories["mars_mlp"] = build_mars_mlp;
-    return reg;
-  }();
-  return *r;
-}
-
 }  // namespace
-
-void register_model(const std::string& name, ModelFactory factory) {
-  if (!factory)
-    throw std::invalid_argument("register_model: null factory for " + name);
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.factories[name] = std::move(factory);
-}
 
 std::unique_ptr<Module> build_model(const std::string& name,
                                     const ModelConfig& cfg) {
-  ModelFactory factory;
-  {
-    Registry& r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    const auto it = r.factories.find(name);
-    if (it == r.factories.end()) {
-      std::string known;
-      for (const auto& [k, v] : r.factories)
-        known += (known.empty() ? "" : ", ") + k;
-      throw std::invalid_argument("build_model: unknown architecture '" +
-                                  name + "' (registered: " + known + ")");
-    }
-    factory = it->second;
-  }
-  return factory(cfg);
+  // The paper's network (Section 4.1).
+  if (name == "mars_cnn") return build_mars_cnn(cfg, name, 16, 32, 512);
+  // Doubled conv filters and hidden width: the capacity end of the
+  // capacity/latency trade-off the serving runtime can explore.
+  if (name == "mars_cnn_large")
+    return build_mars_cnn(cfg, name, 32, 64, 1024);
+  // Conv-free baseline on the flattened grid.
+  if (name == "mars_mlp") return build_mars_mlp(cfg);
+  std::string known;
+  for (const auto& k : registered_models())
+    known += (known.empty() ? "" : ", ") + k;
+  throw std::invalid_argument("build_model: unknown architecture '" + name +
+                              "' (registered: " + known + ")");
 }
 
 std::vector<std::string> registered_models() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::string> out;
-  out.reserve(r.factories.size());
-  for (const auto& [name, factory] : r.factories) out.push_back(name);
-  return out;
+  return {"mars_cnn", "mars_cnn_large", "mars_mlp"};
 }
 
 }  // namespace fuse::nn

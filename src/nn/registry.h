@@ -1,5 +1,5 @@
 #pragma once
-// Config-driven model registry: build networks by name.
+// Config-driven model construction: build networks by name.
 //
 //   auto model = fuse::nn::build_model("mars_cnn", {.seed = 7});
 //
@@ -15,13 +15,12 @@
 //   mars_mlp        flatten + 512/256 MLP — the "is the conv stack worth
 //                   it" baseline
 //
-// Additional architectures register at runtime via register_model(); names
-// are unique and the builders must be thread-compatible (the registry is
-// locked, the returned models are independent).
+// The set is fixed at compile time: a new architecture is a new branch in
+// build_model() plus its name in registered_models().  Every call returns
+// an independent model, so concurrent builds need no locking.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,8 +29,8 @@
 
 namespace fuse::nn {
 
-/// Architecture-independent build knobs.  Width/depth specifics live in
-/// the registered factory for each name.
+/// Architecture-independent build knobs.  Width/depth specifics are fixed
+/// per architecture name.
 struct ModelConfig {
   std::size_t in_channels = 5;  ///< 5 * (2M + 1) when frames are stacked
   std::size_t grid_h = 8;       ///< MARS feature-map grid
@@ -40,18 +39,12 @@ struct ModelConfig {
   std::uint64_t seed = 0x5EEDULL;
 };
 
-using ModelFactory =
-    std::function<std::unique_ptr<Module>(const ModelConfig&)>;
-
-/// Registers (or replaces) a factory under `name`.
-void register_model(const std::string& name, ModelFactory factory);
-
-/// Builds a registered architecture; throws std::invalid_argument for an
-/// unknown name (the message lists what is registered).
+/// Builds a built-in architecture; throws std::invalid_argument for an
+/// unknown name (the message lists the known ones).
 std::unique_ptr<Module> build_model(const std::string& name,
                                     const ModelConfig& cfg = {});
 
-/// Sorted names of every registered architecture.
+/// Sorted names of every built-in architecture.
 std::vector<std::string> registered_models();
 
 }  // namespace fuse::nn

@@ -10,8 +10,8 @@
 //
 // Copying a Sequential deep-copies every child (via Module::clone), which
 // preserves the value semantics the MAML inner loop relies on — concrete
-// networks like MarsCnn are thin Sequential subclasses and stay cheap to
-// clone per task.
+// networks like the MARS CNN (nn::mars_cnn) are plain Sequentials and stay
+// cheap to clone per task.
 
 #include <memory>
 #include <string>

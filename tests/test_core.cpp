@@ -38,10 +38,10 @@ struct MiniWorld {
     feat.fit(dataset, split.train);
   }
 
-  fuse::nn::MarsCnn make_model(std::uint64_t seed = 1) const {
+  fuse::nn::Sequential make_model(std::uint64_t seed = 1) const {
     // Input is 8x8x5 regardless of the fusion window (points are pooled).
     fuse::util::Rng rng(seed);
-    return fuse::nn::MarsCnn(5, rng);
+    return fuse::nn::mars_cnn(5, rng);
   }
 };
 
@@ -58,6 +58,25 @@ TEST(Metrics, EvaluateUntrainedModelIsPoorButFinite) {
                                         world().split.test);
   EXPECT_GT(mae.average(), 1.0);   // untrained: tens of cm
   EXPECT_LT(mae.average(), 500.0); // but not absurd
+}
+
+TEST(Metrics, EvaluateMatchesTrainingForward) {
+  // evaluate() infers at the model's train_backend(), so on one chunk it
+  // reports exactly the error of the training forward pass.  64 samples:
+  // the per-chunk weight and the cm scale (100/64) are exact in double,
+  // so the weighted average reproduces mae * 100 bit for bit.
+  auto model = world().make_model(3);
+  const IndexSet chunk(world().split.test.begin(),
+                       world().split.test.begin() + 64);
+  const auto x = world().feat.make_inputs(*world().fused, chunk);
+  const auto y = world().feat.make_labels(*world().fused, chunk);
+  const auto mae = fuse::data::mae_per_axis_m(model.forward(x), y,
+                                              world().feat.label_stats());
+  const auto got =
+      fuse::core::evaluate(model, *world().fused, world().feat, chunk);
+  EXPECT_EQ(got.x, mae[0] * 100);
+  EXPECT_EQ(got.y, mae[1] * 100);
+  EXPECT_EQ(got.z, mae[2] * 100);
 }
 
 TEST(Metrics, EvaluateEmptySetIsZero) {
@@ -170,7 +189,7 @@ TEST(Meta, TaskAdaptReducesSupportLossAndPopulatesGrads) {
     support.push_back(world().split.train[i]);
     query.push_back(world().split.train[100 + i]);
   }
-  fuse::nn::MarsCnn clone = model;
+  fuse::nn::Sequential clone = model;
   const float qloss = meta.task_adapt_and_query(clone, *world().fused,
                                                 world().feat, support, query);
   EXPECT_GT(qloss, 0.0f);

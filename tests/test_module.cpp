@@ -100,28 +100,14 @@ TEST(Registry, UnknownArchitectureThrows) {
   EXPECT_THROW(fuse::nn::build_model("resnet152"), std::invalid_argument);
 }
 
-TEST(Registry, RuntimeRegistration) {
-  fuse::nn::register_model("tiny_linear", [](const fuse::nn::ModelConfig& c) {
-    fuse::util::Rng rng(c.seed);
-    auto m = std::make_unique<fuse::nn::Sequential>("tiny_linear");
-    m->add(fuse::nn::Flatten{});
-    m->add(fuse::nn::Linear(c.in_channels * c.grid_h * c.grid_w, c.outputs,
-                            rng));
-    return m;
-  });
-  const auto model = fuse::nn::build_model("tiny_linear", small_cfg(3));
-  fuse::util::Rng rng(4);
-  const Tensor x = random_tensor({2, 5, 8, 8}, rng);
-  EXPECT_EQ(model->infer(x).shape(), (fuse::tensor::Shape{2, 57}));
-}
-
 // -------------------------------------------------- Sequential equivalence --
 
 TEST(Sequential, MarsCnnBitIdenticalToLegacyLayerComposition) {
-  // The Sequential-built MarsCnn must reproduce the original hand-rolled
-  // model exactly: same RNG draw order at construction, same forward
-  // arithmetic.  The reference composes the layers by hand in the legacy
-  // order (conv1, conv2, fc1, fc2 constructed first, ReLU/Flatten free).
+  // The Sequential built by nn::mars_cnn must reproduce the original
+  // hand-rolled model exactly: same RNG draw order at construction, same
+  // forward arithmetic.  The reference composes the layers by hand in the
+  // legacy order (conv1, conv2, fc1, fc2 constructed first, ReLU/Flatten
+  // free).
   constexpr std::uint64_t kSeed = 1234;
   fuse::util::Rng rng_ref(kSeed);
   fuse::nn::Conv2d conv1(5, 16, 3, 1, rng_ref);
@@ -132,7 +118,7 @@ TEST(Sequential, MarsCnnBitIdenticalToLegacyLayerComposition) {
   conv2.set_train_backend(Backend::kNaive);
 
   fuse::util::Rng rng_seq(kSeed);
-  fuse::nn::MarsCnn model(5, rng_seq);
+  fuse::nn::Sequential model = fuse::nn::mars_cnn(5, rng_seq);
   model.set_train_backend(Backend::kNaive);  // legacy arithmetic
 
   fuse::util::Rng rng_x(99);
@@ -212,14 +198,6 @@ TEST(Backend, GemmMatchesNaiveOnRaggedConvShapes) {
   }
 }
 
-TEST(Backend, DefaultBackendIsProcessWideAndRestorable) {
-  const Backend before = fuse::nn::default_backend();
-  fuse::nn::set_default_backend(Backend::kGemm);
-  EXPECT_EQ(fuse::nn::default_backend(), Backend::kGemm);
-  fuse::nn::set_default_backend(before);
-  EXPECT_EQ(fuse::nn::default_backend(), before);
-}
-
 // ------------------------------------------------------------ const access --
 
 TEST(Module, ConstCorrectCopyAndCount) {
@@ -253,8 +231,8 @@ TEST(Serialization, RoundTripForEveryRegisteredArchitecture) {
     // Load into a differently-seeded instance of the same architecture.
     const auto b = fuse::nn::build_model(name, small_cfg(32));
     b->load(ss);
-    const Tensor ya = a->infer(x);
-    const Tensor yb = b->infer(x);
+    const Tensor ya = a->infer(x, Backend::kGemm);
+    const Tensor yb = b->infer(x, Backend::kGemm);
     for (std::size_t i = 0; i < ya.numel(); ++i)
       ASSERT_EQ(ya[i], yb[i]) << name << " element " << i;
   }
@@ -286,7 +264,7 @@ TEST(Serialization, BitFlippedPayloadThrowsAndLeavesModelIntact) {
   fuse::util::Rng rng(55);
   const Tensor x = random_tensor({2, 5, 8, 8}, rng);
   const auto model = fuse::nn::build_model("mars_cnn", small_cfg(11));
-  const Tensor before = model->infer(x);
+  const Tensor before = model->infer(x, Backend::kGemm);
   std::stringstream ss;
   model->save(ss);
   std::string blob = ss.str();
@@ -302,7 +280,7 @@ TEST(Serialization, BitFlippedPayloadThrowsAndLeavesModelIntact) {
         << e.what();
   }
   // The failed load committed nothing.
-  const Tensor after = model->infer(x);
+  const Tensor after = model->infer(x, Backend::kGemm);
   for (std::size_t i = 0; i < before.numel(); ++i)
     ASSERT_EQ(before[i], after[i]) << "element " << i;
   // The pristine blob still round-trips.

@@ -1,7 +1,7 @@
 // Tests for the NN library.  The critical ones are the finite-difference
 // gradient checks: every hand-written backward pass (Conv2d, Linear, ReLU,
-// the full MarsCnn, and all three losses) is verified against central
-// differences.
+// the full MARS CNN from nn::mars_cnn, and all three losses) is verified
+// against central differences.
 
 #include <gtest/gtest.h>
 
@@ -76,14 +76,14 @@ TEST(Layers, FlattenRoundTrip) {
 TEST(Model, ParameterCountMatchesPaperScale) {
   fuse::util::Rng rng(6);
   // The MARS input is 8x8x5 regardless of the fusion setting.
-  fuse::nn::MarsCnn model(5, rng);
+  fuse::nn::Sequential model = fuse::nn::mars_cnn(5, rng);
   // Paper reports 1,095,115; our bookkeeping gives ~1.084M (see model.h).
   EXPECT_NEAR(static_cast<double>(model.num_params()), 1.09e6, 2.5e4);
 }
 
 TEST(Model, ForwardShape) {
   fuse::util::Rng rng(7);
-  fuse::nn::MarsCnn model(5, rng);
+  fuse::nn::Sequential model = fuse::nn::mars_cnn(5, rng);
   const Tensor x = random_tensor({4, 5, 8, 8}, rng);
   const Tensor y = model.forward(x);
   EXPECT_EQ(y.shape(), (fuse::tensor::Shape{4, 57}));
@@ -91,23 +91,23 @@ TEST(Model, ForwardShape) {
 
 TEST(Model, LastLayerParamsAreSubset) {
   fuse::util::Rng rng(8);
-  fuse::nn::MarsCnn model(5, rng);
+  fuse::nn::Sequential model = fuse::nn::mars_cnn(5, rng);
   EXPECT_EQ(model.last_layer_params().size(), 2u);
   EXPECT_EQ(model.params().size(), 8u);
 }
 
 TEST(Model, CloneIsIndependent) {
   fuse::util::Rng rng(9);
-  fuse::nn::MarsCnn a(5, rng);
-  fuse::nn::MarsCnn b = a;  // value semantics: deep copy
+  fuse::nn::Sequential a = fuse::nn::mars_cnn(5, rng);
+  fuse::nn::Sequential b = a;  // value semantics: deep copy
   (*b.params()[0])[0] += 1.0f;
   EXPECT_NE((*a.params()[0])[0], (*b.params()[0])[0]);
 }
 
 TEST(Model, CopyParamsFrom) {
   fuse::util::Rng rng(10);
-  fuse::nn::MarsCnn a(5, rng);
-  fuse::nn::MarsCnn b(5, rng);
+  fuse::nn::Sequential a = fuse::nn::mars_cnn(5, rng);
+  fuse::nn::Sequential b = fuse::nn::mars_cnn(5, rng);
   b.copy_params_from(a);
   const auto pa = a.params(), pb = b.params();
   for (std::size_t i = 0; i < pa.size(); ++i)
@@ -117,10 +117,10 @@ TEST(Model, CopyParamsFrom) {
 
 TEST(Model, SaveLoadRoundTrip) {
   fuse::util::Rng rng(11);
-  fuse::nn::MarsCnn a(5, rng);
+  fuse::nn::Sequential a = fuse::nn::mars_cnn(5, rng);
   std::stringstream ss;
   a.save(ss);
-  fuse::nn::MarsCnn b(5, rng);
+  fuse::nn::Sequential b = fuse::nn::mars_cnn(5, rng);
   b.load(ss);
   const Tensor x = random_tensor({2, 5, 8, 8}, rng);
   const Tensor ya = a.forward(x);
@@ -184,9 +184,9 @@ TEST(GradCheck, Conv2dWeightsBiasAndInput) {
 }
 
 TEST(GradCheck, FullModelEndToEnd) {
-  // Small MarsCnn variant end-to-end: checks layer composition order.
+  // Small MARS CNN variant end-to-end: checks layer composition order.
   fuse::util::Rng rng(22);
-  fuse::nn::MarsCnn model(2, rng, 4, 4, 3, 4, 16, 6);
+  fuse::nn::Sequential model = fuse::nn::mars_cnn(2, rng, 4, 4, 3, 4, 16, 6);
   Tensor x = random_tensor({2, 2, 4, 4}, rng);
   const Tensor target = random_tensor({2, 6}, rng);
 
@@ -359,7 +359,7 @@ TEST(Optim, ZeroGrads) {
 
 TEST(Training, GradientStepReducesLossOnFixedBatch) {
   fuse::util::Rng rng(40);
-  fuse::nn::MarsCnn model(5, rng, 8, 8, 4, 8, 32, 57);
+  fuse::nn::Sequential model = fuse::nn::mars_cnn(5, rng, 8, 8, 4, 8, 32, 57);
   const Tensor x = random_tensor({8, 5, 8, 8}, rng);
   const Tensor target = random_tensor({8, 57}, rng);
   fuse::nn::Adam adam(1e-3f);

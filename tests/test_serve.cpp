@@ -71,8 +71,8 @@ void expect_pose_eq(const Pose& a, const Pose& b) {
   }
 }
 
-/// The single-session reference: one window + one tracker, batch size 1 —
-/// exactly what FusePipeline::push_frame (+ PoseTracker) computes.
+/// The single-session reference: one window + one tracker, batch size 1,
+/// at the server's default backend (kGemm).
 struct RefResult {
   Pose raw;
   Pose tracked;
@@ -89,8 +89,8 @@ std::vector<RefResult> reference_stream(const std::vector<PointCloud>& frames,
     window.push_back(cloud);
     while (window.size() > pred.window_frames()) window.pop_front();
     RefResult r;
-    r.raw = pred.predict_window(pl.model(),
-                                {window.begin(), window.end()});
+    r.raw = pred.predict_window(pl.model(), {window.begin(), window.end()},
+                                ServeConfig{}.backend);
     r.tracked = cfg.tracking ? tracker.update(r.raw) : r.raw;
     out.push_back(r);
   }
@@ -126,10 +126,12 @@ TEST(Serve, BatchedPredictMatchesPerWindowPredict) {
     windows.push_back({frames[i], frames[i + 1], frames[i + 2]});
     pred.featurize_window(windows.back(), x.data() + i * 5 * 8 * 8);
   }
-  const auto poses = pred.predict(pl.model(), x);
+  const auto gemm = fuse::nn::Backend::kGemm;
+  const auto poses = pred.predict(pl.model(), x, gemm);
   ASSERT_EQ(poses.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i)
-    expect_pose_eq(poses[i], pred.predict_window(pl.model(), windows[i]));
+    expect_pose_eq(poses[i],
+                   pred.predict_window(pl.model(), windows[i], gemm));
 }
 
 // ------------------------------------------------ cross-session batching --
@@ -353,6 +355,30 @@ TEST(Serve, PipelineResetStreamMatchesFreshWindow) {
   const auto frames_b = sequence_frames(4, 1);
   const auto pose = pl.push_frame(frames_b[0]);
   expect_pose_eq(pose, pl.predict_window({frames_b[0]}));
+  pl.reset_stream();
+}
+
+TEST(Serve, PushFrameRunsTrainingArithmetic) {
+  // The facade has no backend of its own: push_frame infers at the model's
+  // train_backend(), bit-identical to the explicit Predictor path.
+  auto& pl = world();
+  const auto& pred = pl.predictor();
+  pl.reset_stream();
+  std::deque<PointCloud> window;
+  auto x = pred.alloc_batch(1);
+  for (const auto& f : sequence_frames(5, 4)) {
+    window.push_back(f);
+    while (window.size() > pred.window_frames()) window.pop_front();
+    pred.featurize_window({window.begin(), window.end()}, x.data());
+    const Pose want =
+        pred.predict(pl.model(), x, pl.model().train_backend()).front();
+    const Pose got = pl.push_frame(f);
+    for (std::size_t j = 0; j < fuse::human::kNumJoints; ++j) {
+      EXPECT_EQ(got.joints[j].x, want.joints[j].x) << "joint " << j;
+      EXPECT_EQ(got.joints[j].y, want.joints[j].y) << "joint " << j;
+      EXPECT_EQ(got.joints[j].z, want.joints[j].z) << "joint " << j;
+    }
+  }
   pl.reset_stream();
 }
 
