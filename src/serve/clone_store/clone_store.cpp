@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "util/atomic_file.h"
@@ -22,27 +22,33 @@ namespace {
 // Manifest header: bumping it invalidates old manifests in one place.
 constexpr const char* kManifestMagic = "FUSECLONES1";
 
-/// Parses "clone_<id>.delta" (the path_for naming scheme); the dir-scan
-/// restore fallback uses it to recover checkpoints a lost manifest named.
+}  // namespace
+
 bool parse_clone_filename(const std::string& name, SessionId* id) {
-  constexpr const char* kPrefix = "clone_";
-  constexpr const char* kSuffix = ".delta";
-  if (name.size() <= std::strlen(kPrefix) + std::strlen(kSuffix)) return false;
-  if (name.rfind(kPrefix, 0) != 0) return false;
-  if (name.size() < std::strlen(kSuffix) ||
-      name.compare(name.size() - std::strlen(kSuffix), std::strlen(kSuffix),
-                   kSuffix) != 0)
+  constexpr std::string_view kPrefix = "clone_";
+  constexpr std::string_view kSuffix = ".delta";
+  if (name.size() <= kPrefix.size() + kSuffix.size() ||
+      !name.starts_with(kPrefix) || !name.ends_with(kSuffix))
     return false;
   const std::string digits = name.substr(
-      std::strlen(kPrefix),
-      name.size() - std::strlen(kPrefix) - std::strlen(kSuffix));
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos)
+      kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
+  if (digits.find_first_not_of("0123456789") != std::string::npos)
     return false;
   *id = static_cast<SessionId>(std::strtoull(digits.c_str(), nullptr, 10));
   return true;
 }
-}  // namespace
+
+bool dir_has_store_data(const fs::path& dir) {
+  std::error_code ec;
+  if (fs::exists(dir / "clones.manifest", ec)) return true;
+  for (const auto& e : fs::directory_iterator(dir, ec)) {
+    SessionId id = 0;
+    if (e.is_regular_file(ec) &&
+        parse_clone_filename(e.path().filename().string(), &id))
+      return true;
+  }
+  return false;
+}
 
 void CloneStore::configure(CloneStoreConfig cfg, const fuse::nn::Module* base) {
   if (base == nullptr)

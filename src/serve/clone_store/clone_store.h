@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -59,6 +60,15 @@ struct CloneStoreConfig {
   /// error budget (absmax/254 per weight).
   fuse::nn::DeltaConfig delta;
 };
+
+/// Parses a checkpoint file name: `clone_<id>.delta` with a decimal id
+/// (CloneStore's naming scheme).  Anything else, a `.tmp` sibling from an
+/// atomic write included, is not a checkpoint.
+bool parse_clone_filename(const std::string& name, SessionId* id);
+
+/// True when `dir` directly holds clone-store data: a manifest or a
+/// checkpoint file.  A missing directory holds none.
+bool dir_has_store_data(const std::filesystem::path& dir);
 
 class CloneStore {
  public:

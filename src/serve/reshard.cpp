@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "nn/delta.h"
+#include "serve/clone_store/clone_store.h"
 #include "util/atomic_file.h"
 #include "util/fault.h"
 #include "util/log.h"
@@ -54,22 +55,6 @@ fs::path journal_path(const std::string& dir) {
 
 fs::path shard_map_path(const std::string& dir) {
   return fs::path(dir) / "shard_map";
-}
-
-bool parse_clone_filename(const std::string& name, SessionId* id) {
-  constexpr const char* kPrefix = "clone_";
-  constexpr const char* kSuffix = ".delta";
-  const std::size_t pre = std::string(kPrefix).size();
-  const std::size_t suf = std::string(kSuffix).size();
-  if (name.size() <= pre + suf) return false;
-  if (name.rfind(kPrefix, 0) != 0) return false;
-  if (name.compare(name.size() - suf, suf, kSuffix) != 0) return false;
-  const std::string digits = name.substr(pre, name.size() - pre - suf);
-  if (digits.empty() ||
-      digits.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  *id = static_cast<SessionId>(std::stoull(digits));
-  return true;
 }
 
 /// One planned checkpoint move; src == dst paths means "kept in place".
@@ -166,18 +151,6 @@ bool decodes_cleanly(const fs::path& path, const fuse::nn::Module* base) {
   } catch (const std::exception&) {
     return false;
   }
-}
-
-bool dir_has_store_data(const fs::path& d) {
-  if (fs::exists(d / "clones.manifest")) return true;
-  std::error_code ec;
-  for (const auto& e : fs::directory_iterator(d, ec)) {
-    SessionId id = 0;
-    if (e.is_regular_file() &&
-        parse_clone_filename(e.path().filename().string(), &id))
-      return true;
-  }
-  return false;
 }
 
 std::size_t autodetect_from(const std::string& dir) {

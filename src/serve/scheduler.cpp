@@ -54,9 +54,8 @@ void Scheduler::featurize_current_window(Session& s, float* out) {
                                feat_scratch_);
 }
 
-PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
-                              PassRecord& rec) {
-  PassStats pass;
+void Scheduler::run_once(const std::vector<Session*>& sessions,
+                         PassRecord& rec) {
   // Per-stage recording folds to dead code when the telemetry layer is
   // compiled out, and to a single predictable branch per site when it is
   // merely disabled — the stats-idle zero-cost contract.
@@ -68,20 +67,26 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       (clone_store_ != nullptr && clone_store_->enabled()) ? clone_store_
                                                            : nullptr;
   if (store) store->begin_pass();
-  // Collection: at most one frame per session per pass, until the batch is
-  // full or every queue is empty.  The window slides and the sample is
-  // featurized immediately, in the session's FIFO order.
+  // Collection: at most one frame per session per round, until the batch
+  // is full or every queue is empty.  Rounds start after the session that
+  // gave the previous pass its last frame, so a batch that fills before a
+  // round ends cannot keep serving the same sessions.  The window slides
+  // and the sample is featurized immediately, in the session's FIFO order.
   struct Collected {
     Item item;
     std::vector<float> block;
   };
   std::vector<Collected> collected;
   collected.reserve(max_batch_);
+  const std::size_t n = sessions.size();
+  std::size_t start = 0;
+  while (start < n && sessions[start]->id() < next_start_) ++start;
   bool any = true;
   while (any && collected.size() < max_batch_) {
     any = false;
-    for (Session* s : sessions) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (collected.size() >= max_batch_) break;
+      Session* s = sessions[(start + i) % n];
       // pop() consumes any pending recycle atomically with the queue
       // read, so a recycled session's streaming state is always reset
       // before the new subject's first frame touches the window.
@@ -95,6 +100,7 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       }
       if (!frame) continue;
       any = true;
+      next_start_ = s->id() + 1;
       // Injected latency spike: stalls the pass exactly where a real
       // scheduler hiccup (page fault, CPU contention) would, so chaos runs
       // exercise the overload detector's tick-latency signal.
@@ -109,7 +115,6 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
         const double age = mono_seconds() - frame->t_enqueue;
         if (age > shed_deadline_s_) {
           s->note_deadline_shed();
-          ++pass.shed;
           if (detail) rec.telem.stages.record(Stage::kShed, age);
           continue;
         }
@@ -158,9 +163,9 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       // fusion window (where it would poison up to window_frames
       // downstream predictions).  Repeated offenders are quarantined.
       if (!cloud_finite(*cloud)) {
-        if (s->note_non_finite_frame() && s->adapted_model() != nullptr)
+        if (s->note_non_finite(/*label=*/false) &&
+            s->adapted_model() != nullptr)
           drop_clone(*s, store);
-        ++pass.rejected;
         continue;
       }
       const double t_feat = detail ? mono_seconds() : 0.0;
@@ -178,7 +183,8 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       // quarantined sessions buffer nothing (adaptation is disabled).
       if (frame->label && s->config().adapt.enabled && !quarantined) {
         if (!pose_finite(*frame->label)) {
-          if (s->note_non_finite_label() && s->adapted_model() != nullptr)
+          if (s->note_non_finite(/*label=*/true) &&
+              s->adapted_model() != nullptr)
             drop_clone(*s, store);
         } else {
           Session::LabeledSample ls;
@@ -193,7 +199,7 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       collected.push_back(std::move(c));
     }
   }
-  if (collected.empty()) return pass;
+  if (collected.empty()) return;
 
   // Partition: shared-model frames batch together across sessions — one
   // batch per effective backend, so an int8 fleet and fp32 stragglers can
@@ -261,8 +267,8 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
       rec.latency.record(r.latency_s);
       s.push_result(std::move(r), items[i].frame.epoch);
     }
-    ++pass.batches;
-    pass.batched_frames += items.size();
+    ++rec.batches;
+    rec.frames += items.size();
   };
 
   for (auto& group : shared)
@@ -285,9 +291,6 @@ PassStats Scheduler::run_once(const std::vector<Session*>& sessions,
   // End of pass: evict LRU clones until the resident set fits the store's
   // RAM budget again (rehydration above may have overshot it briefly).
   if (store) store->enforce_budget(sessions);
-
-  pass.served = collected.size();
-  return pass;
 }
 
 bool Scheduler::maybe_adapt(Session& s) {

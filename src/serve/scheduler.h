@@ -5,9 +5,11 @@
 // and result queue.
 //
 // Batching policy (see DESIGN.md):
-//  * one collection pass pops at most one frame per session, repeated until
-//    `max_batch` frames are gathered or every queue is empty — deep queues
-//    cannot starve their neighbours;
+//  * one collection round pops at most one frame per session, repeated
+//    until `max_batch` frames are gathered or every queue is empty — deep
+//    queues cannot starve their neighbours — and each pass starts its
+//    rounds after the session that gave the previous pass its last frame,
+//    so sessions late in id order are not starved by a full batch either;
 //  * frames of sessions serving the shared meta-model are batched together;
 //    a session with an adapted per-user clone forms its own (small) batch,
 //    since its parameters differ;
@@ -35,25 +37,24 @@ namespace fuse::serve {
 
 class CloneStore;
 
-/// Counters for one run_once pass (the caller owns the cumulative totals,
-/// so the scheduler itself never needs a lock).
-struct PassStats {
-  std::size_t served = 0;           ///< frames served this pass
-  std::uint64_t batches = 0;        ///< batched forward passes run
-  std::uint64_t batched_frames = 0; ///< frames served through them
-  std::size_t shed = 0;             ///< frames shed by deadline this pass
-  std::size_t rejected = 0;         ///< non-finite frames rejected this pass
-};
-
-/// Pass-local telemetry sink: the scheduler records into this lock-free
-/// during run_once; the caller merges it into the cumulative stats under
-/// its stats lock afterwards (so the hot path never contends with
-/// readers).  `latency` (submit->result) is always recorded; the
-/// per-stage/per-backend detail in `telem` only when the scheduler's
-/// detailed-stats flag is on and the layer is compiled in.
+/// What one run_once pass served, recorded lock-free by the scheduler;
+/// the owning shard merges it into its cumulative record under its stats
+/// lock afterwards (so the hot path never contends with readers).
+/// `latency` (submit->result) is always recorded; the per-stage/
+/// per-backend detail in `telem` only when the scheduler's detailed-stats
+/// flag is on and the layer is compiled in.
 struct PassRecord {
+  std::uint64_t batches = 0;  ///< batched forward passes run
+  std::uint64_t frames = 0;   ///< frames served through them
   LatencyHistogram latency;
   Telemetry telem;
+
+  void merge(const PassRecord& o) {
+    batches += o.batches;
+    frames += o.frames;
+    latency.merge(o.latency);
+    telem.merge(o.telem);
+  }
 };
 
 class Scheduler {
@@ -75,10 +76,12 @@ class Scheduler {
         backend_(backend),
         processor_(processor) {}
 
-  /// One scheduling pass over `sessions` (applies pending session recycles
-  /// first).  `rec.latency` receives one sample per served frame;
-  /// `rec.telem` the per-stage timings when detailed stats are on.
-  PassStats run_once(const std::vector<Session*>& sessions, PassRecord& rec);
+  /// One scheduling pass over `sessions`, in id order (applies pending
+  /// session recycles first).  Collection starts after the session served
+  /// last by the previous pass, so under a backlog every session gets its
+  /// turn.  `rec` receives the batch counts, one latency sample per served
+  /// frame and, when detailed stats are on, the per-stage timings.
+  void run_once(const std::vector<Session*>& sessions, PassRecord& rec);
 
   /// Toggles the per-stage/per-backend recording (ServeConfig::
   /// detailed_stats).  The always-on submit->result latency histogram and
@@ -138,6 +141,9 @@ class Scheduler {
   bool detailed_stats_ = true;
   OverloadLevel level_ = OverloadLevel::kNormal;
   double shed_deadline_s_ = 0.05;
+  /// Id of the session collection starts at next pass: one past the last
+  /// session served.  An id, not an index, so it survives open/close.
+  SessionId next_start_ = 0;
 
   // Scheduler-thread scratch (run_once is never concurrent with itself):
   // the DSP workspace for raw-cube frames and the featurize scratch both

@@ -432,23 +432,6 @@ ShardMapFile read_shard_map(const std::string& dir) {
   return map;
 }
 
-/// True when `dir` directly holds clone-store data (a manifest or any
-/// checkpoint file) — used to detect a store laid out for a different
-/// shard count than this server's.
-bool dir_has_clone_data(const std::filesystem::path& dir) {
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec)) return false;
-  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = e.path().filename().string();
-    if (name == "clones.manifest") return true;
-    if (name.rfind("clone_", 0) == 0 &&
-        name.size() > 6 + 6 &&  // "clone_" + at least 1 digit + ".delta"
-        name.compare(name.size() - 6, 6, ".delta") == 0)
-      return true;
-  }
-  return false;
-}
-
 [[noreturn]] void throw_reshard_needed(const std::string& dir,
                                        const std::string& detail) {
   throw std::logic_error(
@@ -521,18 +504,18 @@ std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
       const auto shard_dir = root / ("shard_" + std::to_string(k));
       std::error_code ec;
       if (!std::filesystem::is_directory(shard_dir, ec)) break;
-      if (dir_has_clone_data(shard_dir))
+      if (dir_has_store_data(shard_dir))
         throw_reshard_needed(dir, "checkpoints present in shard_" +
                                       std::to_string(k) + " beyond this "
                                       "server's " +
                                       std::to_string(shards_.size()) +
                                       " shards");
     }
-    if (shards_.size() > 1 && dir_has_clone_data(root))
+    if (shards_.size() > 1 && dir_has_store_data(root))
       throw_reshard_needed(dir, "flat single-shard checkpoints under a " +
                                     std::to_string(shards_.size()) +
                                     "-shard server");
-    if (shards_.size() == 1 && dir_has_clone_data(root / "shard_0"))
+    if (shards_.size() == 1 && dir_has_store_data(root / "shard_0"))
       throw_reshard_needed(dir,
                            "sharded checkpoints under a 1-shard server");
   }
@@ -591,87 +574,32 @@ std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
 
 namespace {
 
-/// Builds a ServeStats snapshot from per-shard raw stats.  `indices[i]`
-/// is the shard index of `raws[i]` (merged snapshots pass 0..N-1, the
-/// single-shard view passes just {k}).  `in_flight` is the gauge value to
-/// report (the global admission gauge for the merged view, the shard's
-/// own gauge for a per-shard view).
-ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
-                        const std::vector<std::size_t>& indices,
+/// Completes a snapshot whose per-shard and per-session rows and clone
+/// store the shards' report() calls filled in: sums and maxima over those
+/// rows, then the read-time rates and quantiles from the merged pass
+/// record.  `in_flight` is the gauge to report (the global admission gauge
+/// for the merged view, the shard's own for a per-shard view).
+ServeStats derive_stats(ServeStats out, const PassRecord& totals,
                         std::size_t in_flight, const ServeConfig& cfg) {
-  ServeStats out;
-  out.shards = raws.size();
-  LatencyHistogram latency;
-  Telemetry telem;
-  for (std::size_t i = 0; i < raws.size(); ++i) {
-    const auto& raw = raws[i];
-    ShardStatsRow row;
-    row.shard = indices[i];
-    row.sessions = raw.sessions.size();
-    row.in_flight = raw.in_flight;
-    row.batches = raw.batches;
-    row.overload_level = raw.overload_level;
-    row.overload_transitions = raw.overload_transitions;
-    row.latency_p99_ms = raw.latency.p99() * 1e3;
-    row.migrations_in = raw.migrations_in;
-    row.migrations_out = raw.migrations_out;
-    row.migration_failures = raw.migration_failures;
-    row.queue_depth_series = raw.queue_depth_series;
-    for (const auto& ss : raw.sessions) {
-      row.frames_in += ss.frames_in;
-      row.frames_out += ss.frames_out;
-      out.per_session.push_back(ss);
-    }
-    out.per_shard.push_back(row);
-
-    latency.merge(raw.latency);
-    telem.merge(raw.telem);
-    out.batches += raw.batches;
-    out.overload_level = std::max(out.overload_level, raw.overload_level);
-    out.overload_transitions += raw.overload_transitions;
-    // Each completed move is one adoption, so Σ in = completed moves.
-    out.migrations += raw.migrations_in;
-    out.migration_failures += raw.migration_failures;
-
-    out.clone_store.enabled |= raw.clone_store.enabled;
-    out.clone_store.hits += raw.clone_store.hits;
-    out.clone_store.misses += raw.clone_store.misses;
-    out.clone_store.evictions += raw.clone_store.evictions;
-    out.clone_store.rehydrations += raw.clone_store.rehydrations;
-    out.clone_store.checkpoint_writes += raw.clone_store.checkpoint_writes;
-    out.clone_store.tracked += raw.clone_store.tracked;
-    out.clone_store.resident += raw.clone_store.resident;
-    out.clone_store.resident_bytes += raw.clone_store.resident_bytes;
-    out.clone_store.disk_bytes += raw.clone_store.disk_bytes;
-    out.clone_store.restore_skipped += raw.clone_store.restore_skipped;
-    out.clone_store.rehydrate_failures += raw.clone_store.rehydrate_failures;
-    out.clone_store.checkpoint_failures +=
-        raw.clone_store.checkpoint_failures;
-  }
-  // Per-session rows sorted by id across shards (shards already sort
-  // their slice, but ids interleave between shards).
+  // Per-session rows sorted by id across shards (ids interleave between
+  // shards).
   std::sort(out.per_session.begin(), out.per_session.end(),
             [](const SessionStats& a, const SessionStats& b) {
               return a.id < b.id;
             });
   out.sessions = out.per_session.size();
-  std::uint64_t batched_frames = 0;
-  for (const auto& raw : raws) batched_frames += raw.batched_frames;
   for (const auto& ss : out.per_session) {
-    out.frames_in += ss.frames_in;
-    out.frames_out += ss.frames_out;
-    out.frames_dropped += ss.frames_dropped;
-    out.queue_evicted += ss.queue_evicted;
-    out.queue_rejected += ss.queue_rejected;
-    out.results_evicted += ss.results_dropped;
-    out.results_stale += ss.results_stale;
+    out += ss;
     out.queue_depth_hwm = std::max(out.queue_depth_hwm, ss.queue_depth_hwm);
-    out.admission_rejected += ss.admission_rejected;
-    out.deadline_shed += ss.deadline_shed;
-    out.non_finite_frames += ss.non_finite_frames;
-    out.non_finite_labels += ss.non_finite_labels;
-    out.migration_rejected += ss.migration_rejected;
     if (ss.quarantined) ++out.quarantined_sessions;
+  }
+  out.shards = out.per_shard.size();
+  for (const auto& row : out.per_shard) {
+    out.overload_level = std::max(out.overload_level, row.overload_level);
+    out.overload_transitions += row.overload_transitions;
+    // Each completed move is one adoption, so Σ in = completed moves.
+    out.migrations += row.migrations_in;
+    out.migration_failures += row.migration_failures;
   }
   // Queue drops over frames offered (accepted + rejected): the serving
   // plane's backpressure ratio, gated by bench/check_regression.py.
@@ -687,14 +615,15 @@ ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
   out.in_flight = in_flight;
   out.overload_level_name =
       overload_level_name(static_cast<OverloadLevel>(out.overload_level));
-  out.mean_batch = out.batches ? static_cast<double>(batched_frames) /
+  out.batches = totals.batches;
+  out.mean_batch = out.batches ? static_cast<double>(totals.frames) /
                                      static_cast<double>(out.batches)
                                : 0.0;
-  out.latency_p50_ms = latency.p50() * 1e3;
-  out.latency_p95_ms = latency.p95() * 1e3;
-  out.latency_p99_ms = latency.p99() * 1e3;
-  out.latency_mean_ms = latency.mean() * 1e3;
-  out.latency_max_ms = latency.max() * 1e3;
+  out.latency_p50_ms = totals.latency.p50() * 1e3;
+  out.latency_p95_ms = totals.latency.p95() * 1e3;
+  out.latency_p99_ms = totals.latency.p99() * 1e3;
+  out.latency_mean_ms = totals.latency.mean() * 1e3;
+  out.latency_max_ms = totals.latency.max() * 1e3;
   // Derived per-stage and per-backend views, computed at read time from
   // the merged histograms (never on the hot path).
   out.detailed = kTelemetryCompiled && cfg.detailed_stats;
@@ -702,27 +631,23 @@ ServeStats derive_stats(const std::vector<ShardRawStats>& raws,
   for (std::size_t i = 0; i < kNumStages; ++i) {
     const auto stage = static_cast<Stage>(i);
     out.stages.push_back(
-        snapshot_stage(stage, telem.stages.histogram(stage)));
+        snapshot_stage(stage, totals.telem.stages.histogram(stage)));
   }
   out.backends.reserve(kNumBackends);
   for (std::size_t i = 0; i < kNumBackends; ++i)
     out.backends.push_back(
-        snapshot_backend(backend_from_index(i), telem.backends[i]));
+        snapshot_backend(backend_from_index(i), totals.telem.backends[i]));
   return out;
 }
 
 }  // namespace
 
 ServeStats Server::stats() const {
-  std::vector<ShardRawStats> raws;
-  std::vector<std::size_t> indices;
-  raws.reserve(shards_.size());
-  indices.reserve(shards_.size());
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    raws.push_back(shards_[k]->raw_stats(sessions_on(k)));
-    indices.push_back(k);
-  }
-  return derive_stats(raws, indices,
+  ServeStats out;
+  PassRecord totals;
+  for (std::size_t k = 0; k < shards_.size(); ++k)
+    shards_[k]->report(sessions_on(k), out, totals);
+  return derive_stats(std::move(out), totals,
                       in_flight_.load(std::memory_order_relaxed), cfg_);
 }
 
@@ -730,10 +655,11 @@ ServeStats Server::stats(std::size_t shard) const {
   if (shard >= shards_.size())
     throw std::out_of_range("serve::Server::stats: shard index " +
                             std::to_string(shard) + " out of range");
-  std::vector<ShardRawStats> raws;
-  raws.push_back(shards_[shard]->raw_stats(sessions_on(shard)));
-  const std::size_t in_flight = raws.front().in_flight;
-  return derive_stats(raws, {shard}, in_flight, cfg_);
+  ServeStats out;
+  PassRecord totals;
+  shards_[shard]->report(sessions_on(shard), out, totals);
+  const std::size_t in_flight = out.per_shard.front().in_flight;
+  return derive_stats(std::move(out), totals, in_flight, cfg_);
 }
 
 }  // namespace fuse::serve

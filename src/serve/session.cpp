@@ -37,16 +37,17 @@ SubmitResult Session::enqueue_cube(fuse::radar::RadarCube cube,
 SubmitResult Session::enqueue_frame(InFrame f, double now_s) {
   std::lock_guard<std::mutex> lock(mu_);
   if (migrating_) {
-    ++migration_rejected_;
+    ++stats_.migration_rejected;
     return SubmitResult::kMigrating;
   }
   bool evicted = false;
   if (queue_.size() >= cfg_.queue_capacity) {
+    ++stats_.frames_dropped;
     if (cfg_.drop_policy == DropPolicy::kDropNewest) {
-      ++queue_rejected_;
+      ++stats_.queue_rejected;
       return SubmitResult::kQueueFull;
     }
-    ++queue_evicted_;
+    ++stats_.queue_evicted;
     queue_.pop_front();  // kDropOldest: evict to keep the stream fresh
     evicted = true;      // net in-flight change is zero: -1 evicted, +1 new
   }
@@ -54,14 +55,15 @@ SubmitResult Session::enqueue_frame(InFrame f, double now_s) {
   f.seq = next_seq_++;
   f.epoch = recycle_epoch_;
   queue_.push_back(std::move(f));
-  queue_hwm_ = std::max(queue_hwm_, queue_.size());
-  ++frames_in_;
+  stats_.queue_depth_hwm = std::max(stats_.queue_depth_hwm, queue_.size());
+  ++stats_.frames_in;
   // An eviction nets zero queued frames (-1 evicted, +1 new), so the
   // gauges only tick on a genuine depth increase.
   if (!evicted) add_in_flight(1);
   // Quarantined sessions still serve (from the shared meta-init), so the
   // frame IS enqueued — the code just surfaces the sensor problem.
-  return quarantined_ ? SubmitResult::kQuarantined : SubmitResult::kAccepted;
+  return stats_.quarantined ? SubmitResult::kQuarantined
+                            : SubmitResult::kAccepted;
 }
 
 std::vector<PoseResult> Session::take_results() {
@@ -96,15 +98,15 @@ void Session::advance_window(const fuse::radar::PointCloud& cloud,
 void Session::push_result(PoseResult r, std::uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (epoch != recycle_epoch_) {  // stale subject: discard
-    ++results_stale_;
+    ++stats_.results_stale;
     return;
   }
   if (results_.size() >= cfg_.results_capacity) {
     results_.pop_front();
-    ++results_dropped_;
+    ++stats_.results_evicted;
   }
   results_.push_back(std::move(r));
-  ++frames_out_;
+  ++stats_.frames_out;
 }
 
 void Session::buffer_labeled(LabeledSample s) {
@@ -113,25 +115,22 @@ void Session::buffer_labeled(LabeledSample s) {
     adapt_buffer_.pop_front();
   ++fresh_labeled_;
   std::lock_guard<std::mutex> lock(mu_);
-  adapt_buffered_ = adapt_buffer_.size();
+  stats_.adapt_buffered = adapt_buffer_.size();
 }
 
 void Session::note_adapt_round(float loss) {
   std::lock_guard<std::mutex> lock(mu_);
-  has_adapted_ = true;
-  ++adapt_rounds_;
-  last_adapt_loss_ = loss;
+  if (stats_.adapt_state == AdaptState::kCollecting)
+    stats_.adapt_state = AdaptState::kAdapted;
+  ++stats_.adapt_rounds;
+  stats_.last_adapt_loss = loss;
 }
 
 void Session::note_rehydrated() {
+  // A quarantined or non-adapting session stays kShared.
   std::lock_guard<std::mutex> lock(mu_);
-  has_adapted_ = true;
-}
-
-AdaptState Session::adapt_state() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!cfg_.adapt.enabled || quarantined_) return AdaptState::kShared;
-  return has_adapted_ ? AdaptState::kAdapted : AdaptState::kCollecting;
+  if (stats_.adapt_state == AdaptState::kCollecting)
+    stats_.adapt_state = AdaptState::kAdapted;
 }
 
 void Session::request_recycle() {
@@ -142,16 +141,16 @@ void Session::request_recycle() {
   next_seq_ = 0;  // the new subject's stream counts from zero
   recycle_pending_ = true;
   ++recycle_epoch_;
-  queue_hwm_ = 0;  // the high-water mark describes the new subject only
+  stats_.queue_depth_hwm = 0;  // describes the new subject only
   // Quarantine and the counters that gate it describe the previous
   // subject's sensor, not the session slot: the new subject starts clean.
-  quarantined_ = false;
-  non_finite_frames_ = 0;
-  non_finite_labels_ = 0;
-  has_adapted_ = false;
-  adapt_buffered_ = 0;
-  adapt_rounds_ = 0;
-  last_adapt_loss_ = 0.0f;
+  stats_.quarantined = false;
+  stats_.non_finite_frames = 0;
+  stats_.non_finite_labels = 0;
+  stats_.adapt_state = initial_adapt_state();
+  stats_.adapt_buffered = 0;
+  stats_.adapt_rounds = 0;
+  stats_.last_adapt_loss = 0.0f;
 }
 
 void Session::reset_stream_state() {
@@ -166,7 +165,7 @@ void Session::reset_stream_state() {
 
 void Session::note_migration_rejected() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++migration_rejected_;
+  ++stats_.migration_rejected;
 }
 
 std::deque<Session::InFrame> Session::drain_queue() {
@@ -183,7 +182,7 @@ void Session::requeue(std::deque<InFrame> frames) {
   add_in_flight(frames.size());
   for (auto it = frames.rbegin(); it != frames.rend(); ++it)
     queue_.push_front(std::move(*it));
-  queue_hwm_ = std::max(queue_hwm_, queue_.size());
+  stats_.queue_depth_hwm = std::max(stats_.queue_depth_hwm, queue_.size());
 }
 
 void Session::move_to(std::size_t shard,
@@ -216,67 +215,37 @@ void Session::finish_move() {
 
 void Session::note_admission_rejected() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++admission_rejected_;
+  ++stats_.admission_rejected;
 }
 
 void Session::note_deadline_shed() {
   std::lock_guard<std::mutex> lock(mu_);
-  ++deadline_shed_;
+  ++stats_.deadline_shed;
 }
 
-bool Session::note_non_finite_frame() {
+bool Session::note_non_finite(bool label) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++non_finite_frames_;
-  const bool was = quarantined_;
-  if (cfg_.quarantine_after != 0 &&
-      non_finite_frames_ + non_finite_labels_ >= cfg_.quarantine_after)
-    quarantined_ = true;
-  return quarantined_ && !was;
-}
-
-bool Session::note_non_finite_label() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++non_finite_labels_;
-  const bool was = quarantined_;
-  if (cfg_.quarantine_after != 0 &&
-      non_finite_frames_ + non_finite_labels_ >= cfg_.quarantine_after)
-    quarantined_ = true;
-  return quarantined_ && !was;
+  ++(label ? stats_.non_finite_labels : stats_.non_finite_frames);
+  if (stats_.quarantined || cfg_.quarantine_after == 0 ||
+      stats_.non_finite_frames + stats_.non_finite_labels <
+          cfg_.quarantine_after)
+    return false;
+  quarantine();
+  return true;
 }
 
 void Session::note_adapt_failed() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (cfg_.quarantine_after != 0) quarantined_ = true;
-  has_adapted_ = false;
-  adapt_buffered_ = 0;
+  if (cfg_.quarantine_after != 0) quarantine();
+  if (stats_.adapt_state == AdaptState::kAdapted)
+    stats_.adapt_state = AdaptState::kCollecting;
+  stats_.adapt_buffered = 0;
 }
 
 SessionStats Session::stats_snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  SessionStats s;
-  s.id = id_;
-  s.frames_in = frames_in_;
-  s.frames_dropped = queue_evicted_ + queue_rejected_;
-  s.queue_evicted = queue_evicted_;
-  s.queue_rejected = queue_rejected_;
-  s.frames_out = frames_out_;
-  s.results_dropped = results_dropped_;
-  s.results_stale = results_stale_;
+  SessionStats s = stats_;
   s.queue_depth = queue_.size();
-  s.queue_depth_hwm = queue_hwm_;
-  s.adapt_state = (!cfg_.adapt.enabled || quarantined_)
-                      ? AdaptState::kShared
-                  : has_adapted_ ? AdaptState::kAdapted
-                                 : AdaptState::kCollecting;
-  s.adapt_rounds = adapt_rounds_;
-  s.adapt_buffered = adapt_buffered_;
-  s.last_adapt_loss = last_adapt_loss_;
-  s.admission_rejected = admission_rejected_;
-  s.deadline_shed = deadline_shed_;
-  s.non_finite_frames = non_finite_frames_;
-  s.non_finite_labels = non_finite_labels_;
-  s.migration_rejected = migration_rejected_;
-  s.quarantined = quarantined_;
   return s;
 }
 

@@ -119,6 +119,8 @@ class Session {
   Session(SessionId id, SessionConfig cfg, std::size_t shard = 0)
       : id_(id), cfg_(std::move(cfg)), shard_(shard) {
     tracker_ = fuse::core::PoseTracker(cfg_.tracker);
+    stats_.id = id_;
+    stats_.adapt_state = initial_adapt_state();
   }
   ~Session() {
     // Queued frames die with the session: release their admission slots.
@@ -215,12 +217,10 @@ class Session {
   void note_adapt_round(float loss);
 
   /// Records that the clone store made this session's adapted clone
-  /// resident again (eviction or warm restart), so adapt_state() reads
+  /// resident again (eviction or warm restart), so the stats read
   /// kAdapted even on a freshly restored Session that has never run a
   /// round in this process.
   void note_rehydrated();
-
-  AdaptState adapt_state() const;
 
   /// Recycle for a new subject (any thread): immediately clears the
   /// producer-side state (queue, results, sequence numbers, counters) and
@@ -250,12 +250,10 @@ class Session {
   /// Scheduler side: a queued frame went stale past the shed deadline and
   /// was dropped before the DSP/featurize/infer stages.
   void note_deadline_shed();
-  /// A NaN/Inf input frame (cloud or DSP'd cube) was rejected; counts
-  /// toward quarantine.  Returns true when this rejection newly
-  /// quarantined the session.
-  bool note_non_finite_frame();
-  /// A NaN/Inf ground-truth label was rejected; counts toward quarantine.
-  bool note_non_finite_label();
+  /// A NaN/Inf input frame (cloud or DSP'd cube), or with `label` a
+  /// NaN/Inf ground-truth label, was rejected; counts toward quarantine.
+  /// Returns true when this rejection newly quarantined the session.
+  bool note_non_finite(bool label);
   /// An adaptation round produced a non-finite loss: quarantine NOW —
   /// the clone is compromised and must be discarded by the caller.
   void note_adapt_failed();
@@ -263,7 +261,7 @@ class Session {
   /// disabled (recycle lifts the quarantine with the rest of the state).
   bool quarantined() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return quarantined_;
+    return stats_.quarantined;
   }
 
   // ------------------------------------------- placement and migration --
@@ -319,6 +317,17 @@ class Session {
   /// Shared enqueue tail: stamps the frame and applies the drop policy.
   SubmitResult enqueue_frame(InFrame f, double now_s);
 
+  /// kCollecting when adaptation is enabled, else kShared: the state of a
+  /// fresh or recycled session.
+  AdaptState initial_adapt_state() const {
+    return cfg_.adapt.enabled ? AdaptState::kCollecting : AdaptState::kShared;
+  }
+  /// Serves from the shared meta-init from now on (caller holds mu_).
+  void quarantine() {
+    stats_.quarantined = true;
+    stats_.adapt_state = AdaptState::kShared;
+  }
+
   /// Ticks both bound gauges by +n / -n (callers hold mu_ or are the
   /// destructor).
   void add_in_flight(std::size_t n) {
@@ -339,23 +348,13 @@ class Session {
   const SessionId id_;
   const SessionConfig cfg_;
 
-  mutable std::mutex mu_;  ///< guards queue_, results_ and the counters
+  mutable std::mutex mu_;  ///< guards queue_, results_ and stats_
   std::deque<InFrame> queue_;
   std::deque<PoseResult> results_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t frames_in_ = 0;
-  std::uint64_t queue_evicted_ = 0;   ///< kDropOldest: oldest frame evicted
-  std::uint64_t queue_rejected_ = 0;  ///< kDropNewest: incoming rejected
-  std::uint64_t frames_out_ = 0;
-  std::uint64_t results_dropped_ = 0;
-  std::uint64_t results_stale_ = 0;   ///< discarded across a recycle epoch
-  std::size_t queue_hwm_ = 0;         ///< deepest the queue has ever been
-  std::uint64_t admission_rejected_ = 0;
-  std::uint64_t deadline_shed_ = 0;
-  std::uint64_t non_finite_frames_ = 0;
-  std::uint64_t non_finite_labels_ = 0;
-  std::uint64_t migration_rejected_ = 0;
-  bool quarantined_ = false;
+  /// Every counter, the quarantine flag and the adaptation state as
+  /// stats_snapshot() reports them (queue_depth is filled at snapshot).
+  SessionStats stats_;
   bool migrating_ = false;
   std::size_t move_target_ = kNoMove;  ///< requested, not yet taken
   /// Written under mu_ and the server's registry lock; atomic so routing
@@ -367,12 +366,6 @@ class Session {
   std::atomic<std::size_t>* shard_in_flight_ = nullptr;
   bool recycle_pending_ = false;
   std::uint64_t recycle_epoch_ = 0;  ///< bumped per recycle request
-  // Mirrors of scheduler-side adaptation state, updated under mu_ so that
-  // stats_snapshot() can be called from any thread.
-  bool has_adapted_ = false;
-  std::size_t adapt_buffered_ = 0;
-  std::uint64_t adapt_rounds_ = 0;
-  float last_adapt_loss_ = 0.0f;
 
   // Scheduler-thread-only state.
   std::deque<fuse::radar::PointCloud> window_;

@@ -58,7 +58,7 @@ std::size_t Shard::run_pass(
   PassRecord rec;
   const bool overload = cfg_.overload.enabled;
   const double t0 = overload ? mono_seconds() : 0.0;
-  const PassStats pass = scheduler_.run_once(sessions, rec);
+  scheduler_.run_once(sessions, rec);
   if (overload) {
     // Feed the detector this pass's tick latency and the post-pass queue
     // backlog — the SHARD's own gauge, not the global admission gauge, so
@@ -74,15 +74,12 @@ std::size_t Shard::run_pass(
                                 std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
-  latency_.merge(rec.latency);
-  telem_.merge(rec.telem);
-  batches_ += pass.batches;
-  batched_frames_ += pass.batched_frames;
+  totals_.merge(rec);
   // Queue depth over time: one post-pass gauge sample per tick into the
   // bounded ring (the export shows the curve, not just the high-water
   // mark).
   depth_series_.record(shard_in_flight_.load(std::memory_order_relaxed));
-  return pass.served;
+  return rec.frames;
 }
 
 void Shard::start(std::function<std::size_t()> pass) {
@@ -137,27 +134,33 @@ void Shard::persist_clones(
   clone_store_.persist(sessions);
 }
 
-ShardRawStats Shard::raw_stats(
-    const std::vector<std::shared_ptr<Session>>& sessions) const {
-  ShardRawStats out;
-  out.sessions.reserve(sessions.size());
-  for (const auto& s : sessions) out.sessions.push_back(s->stats_snapshot());
-  out.in_flight = shard_in_flight_.load(std::memory_order_relaxed);
-  out.overload_level = overload_level_.load(std::memory_order_relaxed);
-  out.overload_transitions =
+void Shard::report(const std::vector<std::shared_ptr<Session>>& sessions,
+                   ServeStats& out, PassRecord& totals) const {
+  ShardStatsRow row;
+  row.shard = index_;
+  row.sessions = sessions.size();
+  for (const auto& s : sessions) {
+    out.per_session.push_back(s->stats_snapshot());
+    row.frames_in += out.per_session.back().frames_in;
+    row.frames_out += out.per_session.back().frames_out;
+  }
+  row.in_flight = shard_in_flight_.load(std::memory_order_relaxed);
+  row.overload_level = overload_level_.load(std::memory_order_relaxed);
+  row.overload_transitions =
       overload_transitions_.load(std::memory_order_relaxed);
-  out.clone_store = clone_store_.stats_snapshot();
-  out.migrations_in = migrations_in_.load(std::memory_order_relaxed);
-  out.migrations_out = migrations_out_.load(std::memory_order_relaxed);
-  out.migration_failures =
+  row.migrations_in = migrations_in_.load(std::memory_order_relaxed);
+  row.migrations_out = migrations_out_.load(std::memory_order_relaxed);
+  row.migration_failures =
       migration_failures_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  out.latency = latency_;
-  out.telem = telem_;
-  out.batches = batches_;
-  out.batched_frames = batched_frames_;
-  out.queue_depth_series = depth_series_.snapshot();
-  return out;
+  out.clone_store += clone_store_.stats_snapshot();
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    row.batches = totals_.batches;
+    row.latency_p99_ms = totals_.latency.p99() * 1e3;
+    row.queue_depth_series = depth_series_.snapshot();
+    totals.merge(totals_);
+  }
+  out.per_shard.push_back(std::move(row));
 }
 
 void Shard::record_poll(const std::vector<PoseResult>& polled) {
@@ -165,13 +168,13 @@ void Shard::record_poll(const std::vector<PoseResult>& polled) {
   const double now = mono_seconds();
   std::lock_guard<std::mutex> lock(stats_mu_);
   for (const auto& r : polled)
-    telem_.stages.record(Stage::kResultPoll, now - r.t_ready);
+    totals_.telem.stages.record(Stage::kResultPoll, now - r.t_ready);
 }
 
 void Shard::record_migration(double seconds) {
   if (!(kTelemetryCompiled && cfg_.detailed_stats)) return;
   std::lock_guard<std::mutex> lock(stats_mu_);
-  telem_.stages.record(Stage::kMigrate, seconds);
+  totals_.telem.stages.record(Stage::kMigrate, seconds);
 }
 
 }  // namespace fuse::serve

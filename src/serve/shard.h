@@ -37,27 +37,6 @@
 
 namespace fuse::serve {
 
-/// Raw per-shard stats surface: everything Server needs to derive either
-/// a per-shard or a merged ServeStats snapshot.  Histograms are carried
-/// whole (not as quantiles) so the merged quantiles are exact.
-struct ShardRawStats {
-  std::vector<SessionStats> sessions;  ///< sorted by id
-  LatencyHistogram latency;
-  Telemetry telem;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_frames = 0;
-  std::size_t in_flight = 0;  ///< this shard's queued frames
-  int overload_level = 0;
-  std::uint64_t overload_transitions = 0;
-  CloneStoreSnapshot clone_store;
-  // Live cross-shard migration traffic (PR 10).
-  std::uint64_t migrations_in = 0;
-  std::uint64_t migrations_out = 0;
-  std::uint64_t migration_failures = 0;
-  /// Per-tick queue-depth samples, oldest -> newest (bounded ring).
-  std::vector<std::size_t> queue_depth_series;
-};
-
 class Shard {
  public:
   /// `cfg` is the server-wide config; with num_shards > 1 the shard
@@ -95,8 +74,13 @@ class Shard {
   void persist_clones(const std::vector<std::shared_ptr<Session>>& sessions);
 
   // ----------------------------------------------------------- telemetry --
-  ShardRawStats raw_stats(
-      const std::vector<std::shared_ptr<Session>>& sessions) const;
+  /// Adds this shard to a stats snapshot: appends its summary row to
+  /// out.per_shard and `sessions`' rows to out.per_session, adds its
+  /// clone-store counters to out.clone_store, and merges its cumulative
+  /// pass record (histograms whole, so merged quantiles stay exact) into
+  /// `totals`.  Any thread.
+  void report(const std::vector<std::shared_ptr<Session>>& sessions,
+              ServeStats& out, PassRecord& totals) const;
   /// Records the result-poll stage (how long `polled` results sat waiting
   /// for the consumer).  Any thread.
   void record_poll(const std::vector<PoseResult>& polled);
@@ -134,10 +118,7 @@ class Shard {
   std::atomic<std::uint64_t> overload_transitions_{0};
 
   mutable std::mutex stats_mu_;
-  LatencyHistogram latency_;
-  Telemetry telem_;  ///< cumulative per-stage/per-backend detail
-  std::uint64_t batches_ = 0;
-  std::uint64_t batched_frames_ = 0;
+  PassRecord totals_;              ///< every pass so far, merged
   QueueDepthSeries depth_series_;  ///< one gauge sample per pass
 
   std::atomic<std::uint64_t> migrations_in_{0};

@@ -72,6 +72,44 @@ double LatencyHistogram::quantile(double q) const {
   return max_;
 }
 
+// Adding a field to either struct means adding it here too; the size
+// checks turn a forgotten merge into a compile error.
+static_assert(sizeof(FrameCounters) == 12 * sizeof(std::uint64_t));
+FrameCounters& FrameCounters::operator+=(const FrameCounters& o) {
+  frames_in += o.frames_in;
+  frames_out += o.frames_out;
+  frames_dropped += o.frames_dropped;
+  queue_evicted += o.queue_evicted;
+  queue_rejected += o.queue_rejected;
+  results_evicted += o.results_evicted;
+  results_stale += o.results_stale;
+  admission_rejected += o.admission_rejected;
+  deadline_shed += o.deadline_shed;
+  non_finite_frames += o.non_finite_frames;
+  non_finite_labels += o.non_finite_labels;
+  migration_rejected += o.migration_rejected;
+  return *this;
+}
+
+static_assert(sizeof(CloneStoreSnapshot) == 13 * sizeof(std::uint64_t));
+CloneStoreSnapshot& CloneStoreSnapshot::operator+=(
+    const CloneStoreSnapshot& o) {
+  enabled |= o.enabled;
+  hits += o.hits;
+  misses += o.misses;
+  evictions += o.evictions;
+  rehydrations += o.rehydrations;
+  checkpoint_writes += o.checkpoint_writes;
+  tracked += o.tracked;
+  resident += o.resident;
+  resident_bytes += o.resident_bytes;
+  disk_bytes += o.disk_bytes;
+  restore_skipped += o.restore_skipped;
+  rehydrate_failures += o.rehydrate_failures;
+  checkpoint_failures += o.checkpoint_failures;
+  return *this;
+}
+
 const char* adapt_state_name(AdaptState s) {
   switch (s) {
     case AdaptState::kShared: return "shared";
@@ -239,7 +277,7 @@ std::string stats_to_json(const ServeStats& s) {
            static_cast<unsigned long long>(ps.frames_dropped),
            static_cast<unsigned long long>(ps.queue_evicted),
            static_cast<unsigned long long>(ps.queue_rejected),
-           static_cast<unsigned long long>(ps.results_dropped),
+           static_cast<unsigned long long>(ps.results_evicted),
            static_cast<unsigned long long>(ps.results_stale),
            ps.queue_depth, ps.queue_depth_hwm);
     append(out,

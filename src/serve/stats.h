@@ -111,29 +111,36 @@ enum class AdaptState {
 
 const char* adapt_state_name(AdaptState s);
 
-struct SessionStats {
-  std::size_t id = 0;
+/// The summable frame counters: declared once, here, and shared by the
+/// per-session row (SessionStats) and the fleet view (ServeStats), which
+/// is the plain sum of its sessions' rows.
+struct FrameCounters {
   std::uint64_t frames_in = 0;       ///< accepted into the queue
-  std::uint64_t frames_dropped = 0;  ///< rejected/evicted by the drop policy
+  std::uint64_t frames_out = 0;      ///< results produced
+  std::uint64_t frames_dropped = 0;  ///< queue_evicted + queue_rejected
   std::uint64_t queue_evicted = 0;   ///< dropped cause: kDropOldest eviction
   std::uint64_t queue_rejected = 0;  ///< dropped cause: kDropNewest rejection
-  std::uint64_t frames_out = 0;      ///< results produced
-  std::uint64_t results_dropped = 0; ///< results evicted before being polled
+  std::uint64_t results_evicted = 0; ///< results evicted before being polled
   std::uint64_t results_stale = 0;   ///< results discarded across a recycle
+  // Why frames never reached inference.
+  std::uint64_t admission_rejected = 0;  ///< global in-flight budget full
+  std::uint64_t deadline_shed = 0;       ///< stale frame shed pre-DSP/infer
+  std::uint64_t non_finite_frames = 0;   ///< NaN/Inf input frames rejected
+  std::uint64_t non_finite_labels = 0;   ///< NaN/Inf labels rejected
+  std::uint64_t migration_rejected = 0;  ///< submits bounced mid-migration
+
+  FrameCounters& operator+=(const FrameCounters& o);
+  bool operator==(const FrameCounters&) const = default;
+};
+
+struct SessionStats : FrameCounters {
+  std::size_t id = 0;
   std::size_t queue_depth = 0;       ///< at snapshot time
   std::size_t queue_depth_hwm = 0;   ///< high-water mark since open/recycle
   AdaptState adapt_state = AdaptState::kShared;
   std::uint64_t adapt_rounds = 0;    ///< SGD rounds run on the clone
   std::size_t adapt_buffered = 0;    ///< labeled samples currently buffered
   float last_adapt_loss = 0.0f;      ///< batch L1 loss of the last round
-
-  // Robustness counters (PR 8): why frames never reached inference, and
-  // whether the session has been quarantined for submitting poison.
-  std::uint64_t admission_rejected = 0;  ///< global in-flight budget full
-  std::uint64_t deadline_shed = 0;       ///< stale frame shed pre-DSP/infer
-  std::uint64_t non_finite_frames = 0;   ///< NaN/Inf input frames rejected
-  std::uint64_t non_finite_labels = 0;   ///< NaN/Inf labels rejected
-  std::uint64_t migration_rejected = 0;  ///< submits bounced mid-migration
   bool quarantined = false;  ///< served from shared meta-init, no adaptation
 };
 
@@ -183,6 +190,10 @@ struct CloneStoreSnapshot {
   std::uint64_t restore_skipped = 0;      ///< corrupt entries skipped at restore
   std::uint64_t rehydrate_failures = 0;   ///< corrupt delta at rehydration time
   std::uint64_t checkpoint_failures = 0;  ///< failed checkpoint writes
+
+  /// Fleet merge: sums every counter and gauge, ORs `enabled`.
+  CloneStoreSnapshot& operator+=(const CloneStoreSnapshot& o);
+  bool operator==(const CloneStoreSnapshot&) const = default;
 };
 
 /// Read-time per-shard summary row: each scheduler shard's share of the
@@ -207,11 +218,9 @@ struct ShardStatsRow {
   std::vector<std::size_t> queue_depth_series;
 };
 
-struct ServeStats {
+/// The fleet view: its FrameCounters are the sums of per_session's.
+struct ServeStats : FrameCounters {
   std::size_t sessions = 0;
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-  std::uint64_t frames_dropped = 0;
   std::uint64_t batches = 0;          ///< batched forward passes
   double mean_batch = 0.0;            ///< frames per forward pass
   double latency_p50_ms = 0.0;
@@ -220,28 +229,14 @@ struct ServeStats {
   double latency_mean_ms = 0.0;
   double latency_max_ms = 0.0;
 
-  // Drop/evict counters split by cause (frames_dropped above stays their
-  // queue-side sum, for compatibility with the pre-telemetry field).
-  std::uint64_t queue_evicted = 0;    ///< kDropOldest evictions
-  std::uint64_t queue_rejected = 0;   ///< kDropNewest rejections
-  std::uint64_t results_evicted = 0;  ///< results evicted before polling
-  std::uint64_t results_stale = 0;    ///< results discarded across a recycle
   /// Queue drops / frames offered (accepted + rejected); 0 when no traffic.
   double drop_rate = 0.0;
   std::size_t queue_depth_hwm = 0;    ///< deepest queue ever, any session
-
-  // Overload hardening (PR 8): admission control, deadline shedding and
-  // the degradation ladder.
-  std::uint64_t admission_rejected = 0;  ///< frames refused at the door
-  std::uint64_t deadline_shed = 0;       ///< stale frames shed pre-DSP/infer
-  std::uint64_t non_finite_frames = 0;   ///< NaN/Inf input frames rejected
-  std::uint64_t non_finite_labels = 0;   ///< NaN/Inf labels rejected
   std::size_t quarantined_sessions = 0;  ///< sessions serving quarantined
-  // Live cross-shard migration (PR 10): completed moves, rolled-back
-  // moves, and submits bounced with SubmitResult::kMigrating mid-move.
+  // Live cross-shard migration: completed and rolled-back moves (submits
+  // bounced mid-move are FrameCounters::migration_rejected).
   std::uint64_t migrations = 0;
   std::uint64_t migration_failures = 0;
-  std::uint64_t migration_rejected = 0;
   /// Deadline sheds / frames offered (accepted + rejected); distinct from
   /// drop_rate (producer-side queue policy) — this is scheduler-side.
   double shed_rate = 0.0;

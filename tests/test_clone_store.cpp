@@ -282,6 +282,26 @@ std::string fresh_dir(const char* name) {
   return dir;
 }
 
+TEST(CloneStore, CheckpointFileNamesNeedADecimalId) {
+  fuse::serve::SessionId id = 0;
+  EXPECT_TRUE(fuse::serve::parse_clone_filename("clone_12.delta", &id));
+  EXPECT_EQ(id, 12u);
+  for (const char* name : {"clone_.delta", "clone_x.delta", "clone_1x.delta",
+                           "clone_12.delta.tmp", "clones.manifest"})
+    EXPECT_FALSE(fuse::serve::parse_clone_filename(name, &id)) << name;
+
+  // The layout check counts only real checkpoints and manifests.
+  const std::string dir = fresh_dir("fuse_clone_names");
+  EXPECT_FALSE(fuse::serve::dir_has_store_data(dir));  // missing
+  fs::create_directories(dir);
+  std::ofstream(dir + "/clone_x.delta") << "x";
+  std::ofstream(dir + "/clone_12.delta.tmp") << "x";
+  EXPECT_FALSE(fuse::serve::dir_has_store_data(dir));
+  std::ofstream(dir + "/clone_12.delta") << "x";
+  EXPECT_TRUE(fuse::serve::dir_has_store_data(dir));
+  fs::remove_all(dir);
+}
+
 TEST(CloneStore, BudgetConstrainedServingIsBitIdenticalFp32) {
   auto& pl = world();
   const std::string dir = fresh_dir("fuse_clone_budget");

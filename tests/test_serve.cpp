@@ -12,6 +12,7 @@
 #include <cctype>
 #include <chrono>
 #include <deque>
+#include <filesystem>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -32,6 +33,7 @@ using fuse::radar::PointCloud;
 using fuse::serve::accepted;
 using fuse::serve::AdaptState;
 using fuse::serve::DropPolicy;
+using fuse::serve::FrameCounters;
 using fuse::serve::PoseResult;
 using fuse::serve::ServeConfig;
 using fuse::serve::Server;
@@ -280,6 +282,26 @@ TEST(Serve, DropNewestRejectsWhenFull) {
   EXPECT_EQ(stats.queue_rejected, 6u);
   EXPECT_EQ(stats.queue_evicted, 0u);
   EXPECT_NEAR(stats.drop_rate, 0.6, 1e-9);  // 6 dropped / (4 + 6) offered
+}
+
+TEST(Serve, FullBatchesRotateAcrossSessions) {
+  // With a backlog on every queue a batch fills before the collection
+  // round reaches the later sessions; the next pass must start where this
+  // one stopped, or the first max_batch sessions are served forever.
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.max_batch = 1;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto a = server.open_session();
+  const auto b = server.open_session();
+  for (const auto& f : sequence_frames(0, 4)) {
+    ASSERT_EQ(server.submit_frame(a, f), SubmitResult::kAccepted);
+    ASSERT_EQ(server.submit_frame(b, f), SubmitResult::kAccepted);
+  }
+  server.run_once();
+  server.run_once();
+  EXPECT_EQ(server.poll_results(a).size(), 1u);
+  EXPECT_EQ(server.poll_results(b).size(), 1u);
 }
 
 // ------------------------------------------------------ session recycle --
@@ -1595,6 +1617,112 @@ TEST(Migrate, QueueDepthSeriesTracksPerShardBacklog) {
   // The series rides the JSON export for offline churn analysis.
   const auto json = fuse::serve::stats_to_json(stats);
   EXPECT_NE(json.find("\"queue_depth_series\""), std::string::npos);
+}
+
+TEST(Shard, MergedStatsAreTheSumsOfTheirParts) {
+  // Drives every drop and reject path on a 2-shard server with adapting
+  // sessions and an evicting clone store, then checks that the merged
+  // snapshot is exactly the sum of its per-session rows, its per-shard
+  // rows and the per-shard snapshots.
+  auto& pl = world();
+  const std::string dir = ::testing::TempDir() + "fuse_merge_invariants";
+  std::filesystem::remove_all(dir);
+  ServeConfig cfg;
+  cfg.num_shards = 2;
+  cfg.max_batch = 4;
+  cfg.max_in_flight = 10;
+  cfg.clone_store.dir = dir;
+  cfg.clone_store.max_resident_clones = 1;
+  cfg.session.queue_capacity = 4;
+  cfg.session.results_capacity = 4;
+  cfg.session.quarantine_after = 2;
+  cfg.session.adapt.enabled = true;
+  cfg.session.adapt.min_samples = 4;
+  cfg.session.adapt.round_every = 2;
+  cfg.session.adapt.steps_per_round = 1;
+  cfg.session.adapt.buffer_capacity = 8;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto s1 = server.open_session();  // shard 0
+  const auto s2 = server.open_session();  // shard 1
+  const auto s3 = server.open_session();  // shard 0
+  SessionConfig newest = cfg.session;
+  newest.drop_policy = DropPolicy::kDropNewest;
+  const auto s4 = server.open_session(newest);  // shard 1
+
+  // Adaptation on three sessions; s1 and s3 share shard 0's one resident
+  // clone slot, and nothing is polled, so results are evicted too.
+  const auto& ds = world().dataset();
+  const auto [start, len] = ds.sequences.at(2);
+  ASSERT_GE(len, 12u);
+  for (std::size_t i = 0; i < 12; ++i) {
+    const auto& f = ds.frames[start + i];
+    for (const auto id : {s1, s2, s3})
+      ASSERT_TRUE(accepted(server.submit_frame(id, f.cloud, &f.label)));
+    server.drain();
+  }
+  const auto frames = sequence_frames(0, 6);
+  for (const auto& f : frames) server.submit_frame(s1, f);  // 2 evicted
+  for (const auto& f : frames) server.submit_frame(s4, f);  // 2 rejected
+  std::size_t refused = 0;
+  for (const auto& f : frames)
+    refused += server.submit_frame(s2, f) == SubmitResult::kAdmissionRejected;
+  EXPECT_GT(refused, 0u);
+  server.drain();
+  // Two NaN clouds quarantine s3; a NaN label counts on s2.
+  PointCloud bad = frames[0];
+  ASSERT_FALSE(bad.points.empty());
+  bad.points[0].x = std::numeric_limits<float>::quiet_NaN();
+  Pose bad_label = ds.frames[start].label;
+  bad_label.joints[0].y = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(accepted(server.submit_frame(s3, bad)));
+  ASSERT_TRUE(accepted(server.submit_frame(s3, bad)));
+  ASSERT_TRUE(accepted(server.submit_frame(s2, frames[1], &bad_label)));
+  server.drain();
+  // A submit during a pending move bounces; the move commits next tick.
+  ASSERT_TRUE(server.migrate_session(s1, 1));
+  EXPECT_EQ(server.submit_frame(s1, frames[2]), SubmitResult::kMigrating);
+  server.run_once();
+  ASSERT_EQ(server.shard_of(s1), 1u);
+  ASSERT_TRUE(accepted(server.submit_frame(s1, frames[3])));
+  server.drain();
+
+  const auto merged = server.stats();
+  // The scenario reached every path it meant to.
+  EXPECT_GT(merged.queue_evicted, 0u);
+  EXPECT_GT(merged.queue_rejected, 0u);
+  EXPECT_GT(merged.results_evicted, 0u);
+  EXPECT_GT(merged.admission_rejected, 0u);
+  EXPECT_GT(merged.non_finite_frames, 0u);
+  EXPECT_GT(merged.non_finite_labels, 0u);
+  EXPECT_GT(merged.migration_rejected, 0u);
+  EXPECT_EQ(merged.quarantined_sessions, 1u);
+  EXPECT_EQ(merged.migrations, 1u);
+  EXPECT_GT(merged.clone_store.evictions, 0u);
+  EXPECT_GT(merged.clone_store.rehydrations, 0u);
+
+  // 1. Every summable counter is the sum over the session rows.
+  FrameCounters sessions;
+  for (const auto& ss : merged.per_session) sessions += ss;
+  EXPECT_TRUE(static_cast<const FrameCounters&>(merged) == sessions);
+  // 2. The shard rows split the merged frame counts.
+  std::uint64_t shard_in = 0, shard_out = 0;
+  for (const auto& row : merged.per_shard) {
+    shard_in += row.frames_in;
+    shard_out += row.frames_out;
+  }
+  EXPECT_EQ(shard_in, merged.frames_in);
+  EXPECT_EQ(shard_out, merged.frames_out);
+  // 3. The per-shard snapshots add up to the merged one.
+  fuse::serve::CloneStoreSnapshot stores;
+  FrameCounters shards;
+  for (std::size_t k = 0; k < cfg.num_shards; ++k) {
+    const auto one = server.stats(k);
+    stores += one.clone_store;
+    shards += one;
+  }
+  EXPECT_TRUE(merged.clone_store == stores);
+  EXPECT_TRUE(static_cast<const FrameCounters&>(merged) == shards);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
