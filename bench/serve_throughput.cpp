@@ -697,8 +697,7 @@ ChurnStorm run_churn_storm(fuse::core::FusePipeline& pl, bool smoke) {
   for (std::size_t round = 0; round < out.rounds; ++round) {
     alive.push_back(server.open_session());
     ++out.opens;
-    // Count acceptance directly: frames_in is summed over LIVE sessions,
-    // and by the end of the storm every session has been closed.
+    // Count acceptance per submit, as the producer sees it.
     for (const auto id : alive)
       out.frames += fuse::serve::accepted(
           server.submit_frame(id, pool[id % kPool][round % kStream]));

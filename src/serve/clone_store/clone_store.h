@@ -1,7 +1,7 @@
 #pragma once
 // CloneStore — the lifecycle manager for per-user adapted model clones.
 //
-// Online adaptation (Scheduler::maybe_adapt) gives every adapting session a
+// Online adaptation (Shard::maybe_adapt) gives every adapting session a
 // private fp32 clone of the shared meta-initialization: ~8 bytes per
 // parameter (params + grads) of resident RAM per user, which caps a server
 // at a few hundred adapting users.  The clone store breaks that cap:

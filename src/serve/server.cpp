@@ -94,12 +94,10 @@ std::vector<std::shared_ptr<Session>> Server::sessions_on(
   return out;
 }
 
-std::shared_ptr<Session> Server::make_session(SessionId id,
-                                              SessionConfig scfg,
-                                              std::size_t k) {
-  auto s = std::make_shared<Session>(id, std::move(scfg), k);
-  s->bind_in_flight(&in_flight_, shards_[k]->gauge());
-  return s;
+std::size_t Server::in_flight() const {
+  std::size_t n = 0;
+  for (const auto& sh : shards_) n += sh->in_flight();
+  return n;
 }
 
 SessionId Server::open_session() { return open_session(cfg_.session); }
@@ -110,9 +108,10 @@ SessionId Server::open_session(SessionConfig scfg) {
   if (registry_.size() >= cfg_.max_sessions)
     throw std::runtime_error("serve::Server: max_sessions reached");
   const SessionId id = next_id_++;
-  registry_.emplace(id, make_session(id, std::move(scfg), home_shard(id)));
-  FUSE_LOG_DEBUG("serve: opened session %zu on shard %zu", id,
-                 home_shard(id));
+  const std::size_t k = home_shard(id);
+  registry_.emplace(id, std::make_shared<Session>(id, std::move(scfg), k,
+                                                  shards_[k]->gauge()));
+  FUSE_LOG_DEBUG("serve: opened session %zu on shard %zu", id, k);
   return id;
 }
 
@@ -124,17 +123,25 @@ void Server::close_session(SessionId id) {
     if (it == registry_.end()) return;
     s = std::move(it->second);
     registry_.erase(it);
+    // The session's history stays in the fleet counters, on the shard it
+    // was on: a move commits under this lock, so the shard is final, and
+    // a snapshot that no longer finds the session finds its record.
+    shards_[s->shard()]->retire(s->stats_snapshot());
   }
-  // The shard is read after the erase: a move that committed before it
-  // already handed the clone to the target.  Scheduler-side cleanup
-  // (entry + checkpoint file) happens at the start of that shard's next
-  // pass; until then the store never dereferences the session.
+  // A move that committed before the erase already handed the clone to
+  // the target.  Scheduler-side cleanup (entry + checkpoint file) happens
+  // at the start of that shard's next pass; until then the store never
+  // dereferences the session.
   shards_[s->shard()]->store().request_forget(id);
   notify_moves();  // a threaded mover waiting on this session gives up
 }
 
 void Server::recycle_session(SessionId id) {
-  if (const auto s = find(id)) s->request_recycle();
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  const auto it = registry_.find(id);
+  // The non-finite counts the recycle zeroes stay in the fleet counters.
+  if (it != registry_.end())
+    shards_[it->second->shard()]->retire(it->second->request_recycle());
 }
 
 std::size_t Server::session_count() const {
@@ -163,8 +170,7 @@ SubmitResult Server::submit(SessionId id, const fuse::human::Pose* label,
     return SubmitResult::kMigrating;
   }
   // Admission gate: the GLOBAL in-flight budget.
-  if (cfg_.max_in_flight != 0 &&
-      in_flight_.load(std::memory_order_relaxed) >= cfg_.max_in_flight) {
+  if (cfg_.max_in_flight != 0 && in_flight() >= cfg_.max_in_flight) {
     s->note_admission_rejected();
     return SubmitResult::kAdmissionRejected;
   }
@@ -295,10 +301,11 @@ bool Server::execute_move(Session& s, std::size_t k) {
     std::lock_guard<std::mutex> lock(registry_mu_);
     const auto it = registry_.find(s.id());
     committed = ok && it != registry_.end() && it->second.get() == &s;
-    if (committed) s.move_to(target, to.gauge());
     // Replay the drained backlog in order: on the target, or back on the
-    // source after a crash (or a close) mid-move.
+    // source after a crash (or a close) mid-move.  Requeued first, so the
+    // commit moves its gauge slots to the target with the rest.
     s.requeue(std::move(frames));
+    if (committed) s.move_to(target, to.gauge());
     s.finish_move();
   }
   if (!ok) {
@@ -331,8 +338,7 @@ void Server::maybe_rebalance() {
   std::size_t hot_depth = 0;
   std::size_t cold_depth = std::numeric_limits<std::size_t>::max();
   for (std::size_t k = 0; k < shards_.size(); ++k) {
-    const std::size_t d =
-        shards_[k]->gauge()->load(std::memory_order_relaxed);
+    const std::size_t d = shards_[k]->in_flight();
     if (d > hot_depth) hot = k, hot_depth = d;
     if (d < cold_depth) cold = k, cold_depth = d;
   }
@@ -369,7 +375,7 @@ std::size_t Server::drain() {
   do {
     for (std::size_t k = 0; k < shards_.size(); ++k)
       while (const std::size_t served = pass(k)) total += served;
-  } while (in_flight_.load(std::memory_order_relaxed) != 0);
+  } while (in_flight() != 0);
   return total;
 }
 
@@ -558,7 +564,8 @@ std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
                        std::to_string(home_shard(id)) +
                        " with no shard_map entry");
       }
-      registry_.emplace(id, make_session(id, scfg, k));
+      registry_.emplace(
+          id, std::make_shared<Session>(id, scfg, k, shards_[k]->gauge()));
       // Fresh ids must never collide with a restored one.
       next_id_ = std::max(next_id_, id + 1);
       out.push_back(id);
@@ -574,13 +581,11 @@ std::vector<SessionId> Server::restore_clones(const SessionConfig& scfg) {
 
 namespace {
 
-/// Completes a snapshot whose per-shard and per-session rows and clone
-/// store the shards' report() calls filled in: sums and maxima over those
-/// rows, then the read-time rates and quantiles from the merged pass
-/// record.  `in_flight` is the gauge to report (the global admission gauge
-/// for the merged view, the shard's own for a per-shard view).
-ServeStats derive_stats(ServeStats out, const PassRecord& totals,
-                        std::size_t in_flight, const ServeConfig& cfg) {
+/// Completes a snapshot whose per-shard and per-session rows, retired
+/// counters and clone store the shards' report() calls filled in: sums and
+/// maxima over those rows, then the read-time rates and quantiles from the
+/// merged pass record.
+ServeStats derive_stats(ServeStats out, const PassRecord& totals) {
   // Per-session rows sorted by id across shards (ids interleave between
   // shards).
   std::sort(out.per_session.begin(), out.per_session.end(),
@@ -595,6 +600,7 @@ ServeStats derive_stats(ServeStats out, const PassRecord& totals,
   }
   out.shards = out.per_shard.size();
   for (const auto& row : out.per_shard) {
+    out.in_flight += row.in_flight;
     out.overload_level = std::max(out.overload_level, row.overload_level);
     out.overload_transitions += row.overload_transitions;
     // Each completed move is one adoption, so Σ in = completed moves.
@@ -612,7 +618,6 @@ ServeStats derive_stats(ServeStats out, const PassRecord& totals,
   out.shed_rate = offered ? static_cast<double>(out.deadline_shed) /
                                 static_cast<double>(offered)
                           : 0.0;
-  out.in_flight = in_flight;
   out.overload_level_name =
       overload_level_name(static_cast<OverloadLevel>(out.overload_level));
   out.batches = totals.batches;
@@ -626,7 +631,6 @@ ServeStats derive_stats(ServeStats out, const PassRecord& totals,
   out.latency_max_ms = totals.latency.max() * 1e3;
   // Derived per-stage and per-backend views, computed at read time from
   // the merged histograms (never on the hot path).
-  out.detailed = kTelemetryCompiled && cfg.detailed_stats;
   out.stages.reserve(kNumStages);
   for (std::size_t i = 0; i < kNumStages; ++i) {
     const auto stage = static_cast<Stage>(i);
@@ -647,8 +651,7 @@ ServeStats Server::stats() const {
   PassRecord totals;
   for (std::size_t k = 0; k < shards_.size(); ++k)
     shards_[k]->report(sessions_on(k), out, totals);
-  return derive_stats(std::move(out), totals,
-                      in_flight_.load(std::memory_order_relaxed), cfg_);
+  return derive_stats(std::move(out), totals);
 }
 
 ServeStats Server::stats(std::size_t shard) const {
@@ -658,8 +661,7 @@ ServeStats Server::stats(std::size_t shard) const {
   ServeStats out;
   PassRecord totals;
   shards_[shard]->report(sessions_on(shard), out, totals);
-  const std::size_t in_flight = out.per_shard.front().in_flight;
-  return derive_stats(std::move(out), totals, in_flight, cfg_);
+  return derive_stats(std::move(out), totals);
 }
 
 }  // namespace fuse::serve

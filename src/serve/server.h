@@ -36,15 +36,20 @@
 // restore_clones(); changing num_shards itself remains an offline
 // re-shard (tools/reshard, serve/reshard.h).
 //
-// In-flight gauge / overload-detector contract (multi-shard):
-//  * admission (`max_in_flight`) is GLOBAL — one shared atomic gauge of
-//    queued frames across every shard, so the budget bounds total server
-//    memory against a hostile burst no matter how it hashes;
+// In-flight gauge / overload-detector contract (multi-shard): each shard
+// keeps ONE gauge of the frames queued on its sessions, and an accepted
+// frame ticks only that one.
+//  * admission (`max_in_flight`) is GLOBAL — the gate reads the sum of
+//    the shard gauges, so the budget bounds total server memory against a
+//    hostile burst no matter how it hashes.  A migration adds its backlog
+//    to the target gauge before it leaves the source, so a concurrent sum
+//    can over-count for an instant (a refusal at the budget edge) but
+//    never under-count;
 //  * overload detection is PER-SHARD — each shard's detector reads its
-//    own queue-depth gauge, so a hot shard engages its degradation
-//    ladder (pause-adapt -> int8 -> shed) even while its neighbours sit
-//    idle, and an idle fleet can never mask one overloaded shard.  The
-//    merged stats() reports the max rung across shards.
+//    own gauge, so a hot shard engages its degradation ladder
+//    (pause-adapt -> int8 -> shed) even while its neighbours sit idle, and
+//    an idle fleet can never mask one overloaded shard.  The merged
+//    stats() reports the max rung across shards.
 //
 // Two serving modes, as before:
 //  * synchronous — run_once()/drain() step every shard from the calling
@@ -120,8 +125,9 @@ struct ServeConfig {
   /// every shard.  A submit over it is refused at the door
   /// (kAdmissionRejected; the session's admission_rejected counter), so a
   /// hostile arrival burst can bound neither memory nor queue latency.
-  /// The gate reads one relaxed atomic, so a concurrent burst can
-  /// overshoot by at most the number of producer threads.  0 = unlimited.
+  /// The gate reads the sum of the shards' relaxed queue gauges, so a
+  /// concurrent burst can overshoot by at most the number of producer
+  /// threads.  0 = unlimited.
   std::size_t max_in_flight = 0;
   /// Overload detector feeding the graceful-degradation ladder
   /// (serve/overload.h): pause adaptation -> downgrade to int8 -> shed by
@@ -173,7 +179,7 @@ class Server {
   std::size_t shard_of(SessionId id) const;
 
   /// Moves the session to `target_shard`: drains its queue, round-trips
-  /// the adapted clone through the delta codec, rebinds session + gauges
+  /// the adapted clone through the delta codec, rebinds session + gauge
   /// on the target and replays the drained frames there.  Submits return
   /// kMigrating from this call until the move resolves.  The move runs at
   /// the start of the source shard's next pass: synchronous callers get
@@ -191,13 +197,15 @@ class Server {
   /// Validates `cfg` (validate_session_config).  Ids are allocated
   /// sequentially from 1, so consecutive opens round-robin the shards.
   SessionId open_session(SessionConfig cfg);
-  /// Closes and destroys the session; unpolled results are discarded.
+  /// Closes and destroys the session; unpolled results are discarded.  Its
+  /// counters stay in stats()' fleet totals and its shard's row.
   void close_session(SessionId id);
   /// Recycles the session for a new subject: queue, results and sequence
   /// numbers clear immediately; fusion window, tracker, adaptation buffer
   /// and per-user model reset on its shard's next pass (safe while the
   /// shard threads are running).  Results of frames in flight at the time
-  /// of the call are discarded.  The session stays on the same shard.
+  /// of the call are discarded.  The session stays on the same shard.  The
+  /// non-finite counts it zeroes stay in stats()' fleet totals.
   void recycle_session(SessionId id);
   std::size_t session_count() const;
 
@@ -230,7 +238,11 @@ class Server {
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
   // ----------------------------------------------------------- telemetry --
-  /// Merged snapshot across every shard: counters, end-to-end latency
+  /// Merged snapshot across every shard: counters (those of closed
+  /// sessions and recycled subjects included, so they never drop; a
+  /// snapshot that starts after a close or recycle returns counts its
+  /// amounts once, one that overlaps it may count them twice or not at
+  /// all), end-to-end latency
   /// quantiles (merged at histogram level, so quantiles are exact, not
   /// averages of quantiles), per-stage and per-backend detail, per-shard
   /// rows, per-session rows (sorted by id).  overload_level is the max
@@ -270,11 +282,10 @@ class Server {
     return id == 0 ? 0 : (id - 1) % shards_.size();
   }
   std::shared_ptr<Session> find(SessionId id) const;
+  /// Frames queued across every shard: the sum of the shard gauges.
+  std::size_t in_flight() const;
   /// The registry's sessions placed on shard `k`, in id order.
   std::vector<std::shared_ptr<Session>> sessions_on(std::size_t k) const;
-  /// A new session on shard `k`, bound to the admission and shard gauges.
-  std::shared_ptr<Session> make_session(SessionId id, SessionConfig scfg,
-                                        std::size_t k);
   /// The submit prefix shared by submit_frame/submit_cube: routing, the
   /// migrating check, admission and the corrupt-label fault, then
   /// `enqueue(session, label)` and a wake of the session's shard.
@@ -282,8 +293,8 @@ class Server {
   SubmitResult submit(SessionId id, const fuse::human::Pose* label,
                       Enqueue&& enqueue);
   /// One pass of shard `k`: executes the moves requested for its
-  /// sessions, then runs the shard's scheduler over the sessions it
-  /// still owns.  Called by shard k's thread or the synchronous caller.
+  /// sessions, then runs the shard's pass over the sessions it still
+  /// owns.  Called by shard k's thread or the synchronous caller.
   std::size_t pass(std::size_t k);
   /// Executes the move requested for `s`, if any; `s` lives on shard `k`
   /// (the calling pass's shard).  Returns true when the session left `k`.
@@ -296,17 +307,14 @@ class Server {
   const fuse::core::Predictor* predictor_;
   const fuse::nn::Module* shared_model_;
   ServeConfig cfg_;
-  /// Global admission gauge: queued frames across every shard.  Declared
-  /// before shards_ and registry_ so every Session (which holds a pointer
-  /// into it and drains it on destruction) is destroyed first.
-  std::atomic<std::size_t> in_flight_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// The session registry: every open session, ordered by id.  The lock
   /// also guards id allocation (and with it the max_sessions cap) and is
   /// held when a migration commits a session's new shard, so a close and
-  /// a commit are always ordered.  Declared after shards_: sessions point
-  /// at the shards' gauges.
+  /// a commit are always ordered.  Declared after shards_, so every
+  /// Session (which points at its shard's gauge and drains it on
+  /// destruction) is destroyed first.
   mutable std::mutex registry_mu_;
   std::map<SessionId, std::shared_ptr<Session>> registry_;
   SessionId next_id_ = 1;

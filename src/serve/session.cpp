@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace fuse::serve {
 
@@ -133,7 +134,7 @@ void Session::note_rehydrated() {
     stats_.adapt_state = AdaptState::kAdapted;
 }
 
-void Session::request_recycle() {
+FrameCounters Session::request_recycle() {
   std::lock_guard<std::mutex> lock(mu_);
   sub_in_flight(queue_.size());
   queue_.clear();
@@ -144,13 +145,15 @@ void Session::request_recycle() {
   stats_.queue_depth_hwm = 0;  // describes the new subject only
   // Quarantine and the counters that gate it describe the previous
   // subject's sensor, not the session slot: the new subject starts clean.
+  FrameCounters zeroed;
+  zeroed.non_finite_frames = std::exchange(stats_.non_finite_frames, 0);
+  zeroed.non_finite_labels = std::exchange(stats_.non_finite_labels, 0);
   stats_.quarantined = false;
-  stats_.non_finite_frames = 0;
-  stats_.non_finite_labels = 0;
   stats_.adapt_state = initial_adapt_state();
   stats_.adapt_buffered = 0;
   stats_.adapt_rounds = 0;
   stats_.last_adapt_loss = 0.0f;
+  return zeroed;
 }
 
 void Session::reset_stream_state() {
@@ -170,7 +173,6 @@ void Session::note_migration_rejected() {
 
 std::deque<Session::InFrame> Session::drain_queue() {
   std::lock_guard<std::mutex> lock(mu_);
-  sub_in_flight(queue_.size());
   std::deque<InFrame> out;
   out.swap(queue_);
   return out;
@@ -179,22 +181,18 @@ std::deque<Session::InFrame> Session::drain_queue() {
 void Session::requeue(std::deque<InFrame> frames) {
   if (frames.empty()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  add_in_flight(frames.size());
   for (auto it = frames.rbegin(); it != frames.rend(); ++it)
     queue_.push_front(std::move(*it));
   stats_.queue_depth_hwm = std::max(stats_.queue_depth_hwm, queue_.size());
 }
 
-void Session::move_to(std::size_t shard,
-                      std::atomic<std::size_t>* shard_gauge) {
+void Session::move_to(std::size_t shard, std::atomic<std::size_t>* gauge) {
   std::lock_guard<std::mutex> lock(mu_);
   shard_.store(shard, std::memory_order_release);
   const std::size_t n = queue_.size();
-  if (n != 0 && shard_in_flight_ != nullptr)
-    shard_in_flight_->fetch_sub(n, std::memory_order_relaxed);
-  shard_in_flight_ = shard_gauge;
-  if (n != 0 && shard_in_flight_ != nullptr)
-    shard_in_flight_->fetch_add(n, std::memory_order_relaxed);
+  std::atomic<std::size_t>* from = std::exchange(in_flight_, gauge);
+  add_in_flight(n);  // target first: a concurrent sum never under-counts
+  if (n != 0) from->fetch_sub(n, std::memory_order_relaxed);
 }
 
 void Session::request_move(std::size_t target) {

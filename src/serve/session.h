@@ -115,9 +115,13 @@ struct PoseResult {
 
 class Session {
  public:
-  /// `shard` is the shard the session starts on (see shard()).
-  Session(SessionId id, SessionConfig cfg, std::size_t shard = 0)
-      : id_(id), cfg_(std::move(cfg)), shard_(shard) {
+  /// `shard` is the shard the session starts on (see shard()) and `gauge`
+  /// that shard's queued-frame gauge: every accepted frame increments it,
+  /// every pop/clear/destruction decrements it, always under mu_ so the
+  /// gauge tracks the queue exactly.  The atomic must outlive the session.
+  Session(SessionId id, SessionConfig cfg, std::size_t shard,
+          std::atomic<std::size_t>* gauge)
+      : id_(id), cfg_(std::move(cfg)), shard_(shard), in_flight_(gauge) {
     tracker_ = fuse::core::PoseTracker(cfg_.tracker);
     stats_.id = id_;
     stats_.adapt_state = initial_adapt_state();
@@ -129,19 +133,6 @@ class Session {
 
   SessionId id() const { return id_; }
   const SessionConfig& config() const { return cfg_; }
-
-  /// Binds the server's queued-frame gauges: `global` is the admission
-  /// gauge shared across every shard (ServeConfig::max_in_flight),
-  /// `shard` the owning shard's local gauge that feeds its overload
-  /// detector.  Every accepted frame increments both, every
-  /// pop/clear/destruction decrements both, always under mu_ so the
-  /// gauges track the queue exactly.  Either may be null (untracked).
-  /// Bind before the first enqueue; the atomics must outlive the session.
-  void bind_in_flight(std::atomic<std::size_t>* global,
-                      std::atomic<std::size_t>* shard) {
-    global_in_flight_ = global;
-    shard_in_flight_ = shard;
-  }
 
   // ------------------------------------------------------ producer side --
   struct InFrame {
@@ -229,7 +220,9 @@ class Session {
   /// start of its next pass — so recycling never races a running pass.
   /// The session id and configuration survive.  Results of frames already
   /// in flight when recycle is requested are discarded on delivery.
-  void request_recycle();
+  /// Returns the counter amounts the recycle zeroed (the previous
+  /// subject's non-finite counts), for the caller to retire.
+  FrameCounters request_recycle();
 
   /// Scheduler side: clears the streaming state (fusion window, tracker,
   /// adaptation buffer, per-user model) after pop() reported a recycle.
@@ -292,20 +285,22 @@ class Session {
   /// reopen unless another move was requested meanwhile.
   void finish_move();
 
-  /// Migration driver: empties the queue and releases the queued frames'
-  /// gauge slots, returning the frames for replay on the target shard.
-  /// Enqueue stamps (t_enqueue/seq/epoch) are preserved.
+  /// Migration driver: empties the queue, returning the frames for replay
+  /// on the target shard.  They keep their gauge slots while held, so the
+  /// gauges never lose sight of them.  Enqueue stamps (t_enqueue/seq/
+  /// epoch) are preserved.
   std::deque<InFrame> drain_queue();
   /// Migration driver: re-enqueues previously drained frames at the FRONT
-  /// of the queue (they predate anything submitted since), re-acquiring
-  /// their gauge slots.  Capacity is not re-checked: the frames held slots
-  /// moments ago and the queue was just drained.
+  /// of the queue (they predate anything submitted since); their gauge
+  /// slots are still held.  Capacity is not re-checked: the queue was
+  /// just drained and submits were refused since.
   void requeue(std::deque<InFrame> frames);
   /// Migration commit: places the session on `shard` and repoints the
-  /// per-shard gauge at that shard's, moving any currently queued
-  /// frames' counts from the old gauge to the new.  The global admission
-  /// gauge is unaffected.
-  void move_to(std::size_t shard, std::atomic<std::size_t>* shard_gauge);
+  /// gauge at that shard's, moving the queued frames' counts (requeue the
+  /// held backlog first) from the old gauge to the new — added to the new
+  /// one first, so a concurrent sum of the shard gauges can over-count for
+  /// an instant but never under-count.
+  void move_to(std::size_t shard, std::atomic<std::size_t>* gauge);
 
   /// Scheduler side: set by the source shard when the session's adapted
   /// clone moves with it; the target shard registers the clone with its
@@ -328,21 +323,13 @@ class Session {
     stats_.adapt_state = AdaptState::kShared;
   }
 
-  /// Ticks both bound gauges by +n / -n (callers hold mu_ or are the
+  /// Ticks the bound gauge by +n / -n (callers hold mu_ or are the
   /// destructor).
   void add_in_flight(std::size_t n) {
-    if (n == 0) return;
-    if (global_in_flight_ != nullptr)
-      global_in_flight_->fetch_add(n, std::memory_order_relaxed);
-    if (shard_in_flight_ != nullptr)
-      shard_in_flight_->fetch_add(n, std::memory_order_relaxed);
+    if (n != 0) in_flight_->fetch_add(n, std::memory_order_relaxed);
   }
   void sub_in_flight(std::size_t n) {
-    if (n == 0) return;
-    if (global_in_flight_ != nullptr)
-      global_in_flight_->fetch_sub(n, std::memory_order_relaxed);
-    if (shard_in_flight_ != nullptr)
-      shard_in_flight_->fetch_sub(n, std::memory_order_relaxed);
+    if (n != 0) in_flight_->fetch_sub(n, std::memory_order_relaxed);
   }
 
   const SessionId id_;
@@ -360,10 +347,9 @@ class Session {
   /// Written under mu_ and the server's registry lock; atomic so routing
   /// can read it without either.
   std::atomic<std::size_t> shard_;
-  /// Bound queued-frame gauges (see bind_in_flight): the server-global
-  /// admission gauge and the owning shard's local gauge.
-  std::atomic<std::size_t>* global_in_flight_ = nullptr;
-  std::atomic<std::size_t>* shard_in_flight_ = nullptr;
+  /// The queued-frame gauge of the shard the session lives on (see the
+  /// constructor); repointed by move_to().
+  std::atomic<std::size_t>* in_flight_;
   bool recycle_pending_ = false;
   std::uint64_t recycle_epoch_ = 0;  ///< bumped per recycle request
 

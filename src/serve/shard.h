@@ -2,19 +2,37 @@
 // Shard — one scheduler shard of the serving plane (internal engine
 // behind serve::Server; not part of the public API).
 //
-// A shard owns one Scheduler (and therefore one private FrameWorkspace /
-// featurize scratch), one clone-store instance, one OverloadDetector,
-// its queue-depth gauge and — in threaded mode — one scheduler thread
-// with its own wake condition variable.  It holds no sessions: the
-// Server's registry does, and hands each pass the sessions placed on
-// this shard, in id order.  With one shard the engine is bit-compatible
-// with the pre-shard scheduler (the equivalence oracle).
+// A shard owns its pass (the micro-batcher below, with its private
+// FrameWorkspace and featurize scratch), one clone-store instance, one
+// OverloadDetector, its queued-frame gauge and — in threaded mode — one
+// scheduler thread with its own wake condition variable.  It holds no
+// sessions: the Server's registry does, and hands each pass the sessions
+// placed on this shard, in id order.  With one shard the engine is
+// bit-compatible with the pre-shard scheduler (the equivalence oracle).
 //
-// Gauge contract (see server.h): every accepted frame ticks TWO gauges —
-// the server-global admission gauge (bounds total queued frames for
-// max_in_flight) and the gauge of the shard the session lives on, which
-// is what feeds the shard's overload detector, so a hot shard engages
-// its degradation ladder regardless of how idle the other shards are.
+// Batching policy (see DESIGN.md §2):
+//  * one collection round pops at most one frame per session, repeated
+//    until `max_batch` frames are gathered or every queue is empty — deep
+//    queues cannot starve their neighbours — and each pass starts its
+//    rounds after the session that gave the previous pass its last frame,
+//    so sessions late in id order are not starved by a full batch either;
+//  * frames of sessions serving the shared meta-model are batched together
+//    (one batch per effective backend); a session with an adapted
+//    per-user clone forms its own (small) batch, since its parameters
+//    differ;
+//  * each sample's fusion window is advanced and featurized at collection
+//    time, in its session's FIFO order, so the maths are identical to the
+//    single-session path and outputs are deterministic regardless of how
+//    frames interleave across sessions.
+// After the forward passes the shard runs at most one online-adaptation
+// round per eligible session (labeled-frame buffer full enough), using the
+// MAML inner update (core::sgd_step) on that session's clone.
+//
+// Gauge contract (see server.h): every accepted frame ticks ONE gauge, the
+// gauge of the shard its session lives on.  It feeds the shard's overload
+// detector, so a hot shard engages its degradation ladder regardless of
+// how idle the other shards are; the server's global admission budget
+// reads the sum of the shard gauges.
 
 #include <atomic>
 #include <condition_variable>
@@ -27,9 +45,9 @@
 
 #include "core/predictor.h"
 #include "nn/module.h"
+#include "radar/processing.h"
 #include "serve/clone_store/clone_store.h"
 #include "serve/overload.h"
-#include "serve/scheduler.h"
 #include "serve/server.h"
 #include "serve/session.h"
 #include "serve/stats.h"
@@ -37,9 +55,31 @@
 
 namespace fuse::serve {
 
+/// What one pass served, recorded lock-free by the pass; the shard merges
+/// it into its cumulative record under its stats lock afterwards (so the
+/// hot path never contends with readers).  `latency` (submit->result) is
+/// always recorded; the per-stage/per-backend detail in `telem` only when
+/// detailed stats are on and the layer is compiled in.
+struct PassRecord {
+  std::uint64_t batches = 0;  ///< batched forward passes run
+  std::uint64_t frames = 0;   ///< frames served through them
+  LatencyHistogram latency;
+  Telemetry telem;
+
+  void merge(const PassRecord& o) {
+    batches += o.batches;
+    frames += o.frames;
+    latency.merge(o.latency);
+    telem.merge(o.telem);
+  }
+};
+
 class Shard {
  public:
-  /// `cfg` is the server-wide config; with num_shards > 1 the shard
+  /// `predictor` and `shared_model` must outlive the shard (the model is
+  /// only read).  `cfg` is the server-wide config: its max_batch, backend,
+  /// processor (raw-cube DSP front-end; may be null), shed deadline and
+  /// detailed_stats drive every pass.  With num_shards > 1 the shard
   /// rewrites its clone-store dir to `<dir>/shard_<index>` so stores
   /// never share checkpoint files.
   Shard(const fuse::core::Predictor* predictor,
@@ -51,10 +91,10 @@ class Shard {
   Shard& operator=(const Shard&) = delete;
 
   /// One scheduling pass over `sessions` (this shard's, in id order):
-  /// adopts migrated clones into the store, runs the scheduler, feeds the
-  /// overload detector and merges the pass telemetry.  Returns frames
-  /// served.  Only ever called by the thread that owns this shard's
-  /// passes (the shard thread, or the synchronous caller).
+  /// adopts migrated clones into the store, collects, batches, infers and
+  /// adapts, feeds the overload detector and merges the pass telemetry.
+  /// Returns frames served.  Only ever called by the thread that owns this
+  /// shard's passes (the shard thread, or the synchronous caller).
   std::size_t run_pass(const std::vector<std::shared_ptr<Session>>& sessions);
 
   // ------------------------------------------------------------ threaded --
@@ -76,11 +116,15 @@ class Shard {
   // ----------------------------------------------------------- telemetry --
   /// Adds this shard to a stats snapshot: appends its summary row to
   /// out.per_shard and `sessions`' rows to out.per_session, adds its
-  /// clone-store counters to out.clone_store, and merges its cumulative
-  /// pass record (histograms whole, so merged quantiles stay exact) into
-  /// `totals`.  Any thread.
+  /// retired counters to out and its clone-store counters to
+  /// out.clone_store, and merges its cumulative pass record (histograms
+  /// whole, so merged quantiles stay exact) into `totals`.  Any thread.
   void report(const std::vector<std::shared_ptr<Session>>& sessions,
               ServeStats& out, PassRecord& totals) const;
+  /// Keeps counters a session no longer reports — its whole record at
+  /// close, the amounts a recycle zeroes — so the fleet counters never
+  /// drop.  Any thread.
+  void retire(const FrameCounters& counters);
   /// Records the result-poll stage (how long `polled` results sat waiting
   /// for the consumer).  Any thread.
   void record_poll(const std::vector<PoseResult>& polled);
@@ -98,28 +142,74 @@ class Shard {
 
   /// Mutated only from this shard's passes (clone_store.h contract).
   CloneStore& store() { return clone_store_; }
-  /// This shard's queued frames: feeds the shard's overload detector.
-  std::atomic<std::size_t>* gauge() { return &shard_in_flight_; }
+  /// This shard's queued-frame gauge, bound into its sessions.
+  std::atomic<std::size_t>* gauge() { return &in_flight_; }
+  /// Frames queued on this shard's sessions.  Any thread.
+  std::size_t in_flight() const {
+    return in_flight_.load(std::memory_order_relaxed);
+  }
 
  private:
+  struct Item {
+    Session* session = nullptr;
+    Session::InFrame frame;
+  };
+
+  /// The collect -> partition -> infer -> adapt pass over `sessions`;
+  /// `rec` receives the batch counts, one latency sample per served frame
+  /// and, when detailed stats are on, the per-stage timings.
+  void run_once(const std::vector<Session*>& sessions, PassRecord& rec);
+  /// Runs one adaptation round on the session's clone if it is due;
+  /// returns whether a round actually ran (for stage timing).
+  bool maybe_adapt(Session& s);
+  /// Featurizes the just-advanced window of `s` into `out` ([5*8*8]),
+  /// through the pass's reusable featurize scratch.
+  void featurize_current_window(Session& s, float* out);
+  /// The backend a session's batched forwards run on: its config override
+  /// when set, else cfg_.backend — EXCEPT at degradation rung 2+, where
+  /// everything downgrades to int8 (adapted clones carry no int8 state,
+  /// so theirs falls back to kGemm per layer).
+  fuse::nn::Backend effective_backend(const Session& s) const;
+  /// Per-stage recording: ServeConfig::detailed_stats, folded to a
+  /// constant false when the telemetry layer is compiled out.  Off, a pass
+  /// performs no extra clock reads or histogram increments (the stats-idle
+  /// mode the bench's overhead gate measures against).
+  bool detailed() const { return kTelemetryCompiled && cfg_.detailed_stats; }
+  /// Quarantine teardown: the session's clone (and its checkpoint) is
+  /// compromised or unwanted; from here on it serves the shared meta-init.
+  void drop_clone(Session& s);
   /// Registers clones that migrated in since the last pass.
   void adopt_clones(const std::vector<std::shared_ptr<Session>>& sessions);
   void scheduler_loop();
 
+  const fuse::core::Predictor* predictor_;
+  const fuse::nn::Module* shared_model_;
   ServeConfig cfg_;  ///< server config with this shard's clone-store dir
   const std::size_t index_;
-  std::atomic<std::size_t> shard_in_flight_{0};
+  std::atomic<std::size_t> in_flight_{0};
   CloneStore clone_store_;
-  Scheduler scheduler_;
-  /// Pass-thread only; level/transitions are mirrored into the atomics
-  /// below for any-thread stats readers.
+  /// Pass-thread only; its level is the rung the next pass runs at, and
+  /// level/transitions are mirrored into the atomics below for any-thread
+  /// stats readers.
   OverloadDetector detector_;
   std::atomic<int> overload_level_{0};
   std::atomic<std::uint64_t> overload_transitions_{0};
 
+  // Pass-thread scratch (passes never run concurrently): the DSP
+  // workspace for raw-cube frames and the featurize scratch both recycle
+  // their buffers, so a steady tick performs no DSP-side allocations.
+  fuse::radar::FrameWorkspace frame_ws_;
+  fuse::radar::ProcessedFrame cube_frame_;
+  fuse::core::PredictScratch feat_scratch_;
+  std::vector<const fuse::radar::PointCloud*> window_ptrs_;
+  /// Id of the session collection starts at next pass: one past the last
+  /// session served.  An id, not an index, so it survives open/close.
+  SessionId next_start_ = 0;
+
   mutable std::mutex stats_mu_;
   PassRecord totals_;              ///< every pass so far, merged
   QueueDepthSeries depth_series_;  ///< one gauge sample per pass
+  FrameCounters retired_;          ///< see retire()
 
   std::atomic<std::uint64_t> migrations_in_{0};
   std::atomic<std::uint64_t> migrations_out_{0};

@@ -113,7 +113,7 @@ const char* adapt_state_name(AdaptState s);
 
 /// The summable frame counters: declared once, here, and shared by the
 /// per-session row (SessionStats) and the fleet view (ServeStats), which
-/// is the plain sum of its sessions' rows.
+/// sums its sessions' rows and the counters of retired ones.
 struct FrameCounters {
   std::uint64_t frames_in = 0;       ///< accepted into the queue
   std::uint64_t frames_out = 0;      ///< results produced
@@ -203,8 +203,8 @@ struct CloneStoreSnapshot {
 struct ShardStatsRow {
   std::size_t shard = 0;      ///< shard index (home hash + migration map)
   std::size_t sessions = 0;   ///< sessions owned by this shard
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
+  std::uint64_t frames_in = 0;   ///< closed sessions' included
+  std::uint64_t frames_out = 0;  ///< closed sessions' included
   std::size_t in_flight = 0;  ///< this shard's queued frames
   std::uint64_t batches = 0;  ///< batched forward passes on this shard
   int overload_level = 0;     ///< this shard's ladder rung
@@ -218,7 +218,8 @@ struct ShardStatsRow {
   std::vector<std::size_t> queue_depth_series;
 };
 
-/// The fleet view: its FrameCounters are the sums of per_session's.
+/// The fleet view: its FrameCounters are the sums of per_session's plus
+/// the counters retired by closed sessions and recycles (Server::stats).
 struct ServeStats : FrameCounters {
   std::size_t sessions = 0;
   std::uint64_t batches = 0;          ///< batched forward passes

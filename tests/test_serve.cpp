@@ -1143,6 +1143,83 @@ TEST(Shard, AdmissionBudgetIsGlobalAcrossShards) {
   EXPECT_EQ(server.stats().in_flight, 0u);
   EXPECT_EQ(server.submit_frame(b, frames[5]), SubmitResult::kAccepted);
   server.drain();
+
+  // A move carries a backlog from shard 1 to shard 0.  Shard 0 has already
+  // run this tick when shard 1's pass executes the move, so the backlog
+  // stays queued on its new shard.
+  for (std::size_t i = 0; i < 4; ++i)
+    ASSERT_EQ(server.submit_frame(b, frames[i]), SubmitResult::kAccepted);
+  ASSERT_TRUE(server.migrate_session(b, 0));
+  server.run_once();
+  ASSERT_EQ(server.shard_of(b), 0u);
+  const auto moved = server.stats();
+  EXPECT_EQ(moved.per_shard.at(0).in_flight, 4u);
+  EXPECT_EQ(moved.per_shard.at(1).in_flight, 0u);
+  std::size_t rows = 0;
+  for (const auto& row : moved.per_shard) rows += row.in_flight;
+  EXPECT_EQ(moved.in_flight, rows);
+  // Admission still counts the moved frames, now on their new shard.
+  EXPECT_EQ(server.submit_frame(a, frames[4]),
+            SubmitResult::kAdmissionRejected);
+  server.drain();
+  EXPECT_EQ(server.stats().in_flight, 0u);
+  EXPECT_EQ(server.submit_frame(a, frames[4]), SubmitResult::kAccepted);
+  server.drain();
+}
+
+TEST(Shard, FleetCountersNeverDropAcrossClose) {
+  // Closing a session, or recycling it for a new subject, must not take
+  // its history out of the fleet counters: they only ever grow.
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.num_shards = 2;
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto probe = server.open_session();  // shard 0
+  SessionConfig adapting = cfg.session;
+  adapting.adapt.enabled = true;  // labels are checked, no round runs
+  adapting.adapt.min_samples = 64;
+  const auto other = server.open_session(adapting);  // shard 1
+  const auto frames = sequence_frames(0, 6);
+  for (std::size_t i = 0; i < 5; ++i)
+    ASSERT_TRUE(accepted(server.submit_frame(probe, frames[i])));
+  server.drain();
+  const auto before = server.stats();
+  ASSERT_EQ(before.frames_in, 5u);
+  ASSERT_EQ(before.frames_out, 5u);
+
+  server.close_session(probe);
+  const auto closed = server.stats();
+  EXPECT_EQ(closed.sessions, 1u);
+  EXPECT_TRUE(static_cast<const FrameCounters&>(closed) ==
+              static_cast<const FrameCounters&>(before));
+  // The closed session's frames stay on the row of the shard it was on.
+  EXPECT_EQ(closed.per_shard.at(0).frames_in, 5u);
+  EXPECT_EQ(closed.per_shard.at(0).frames_out, 5u);
+  EXPECT_EQ(server.stats(0).frames_out, 5u);
+
+  // A recycle zeroes the session's non-finite counts for the new subject;
+  // the fleet keeps them.
+  PointCloud bad = frames[5];
+  ASSERT_FALSE(bad.points.empty());
+  bad.points[0].x = std::numeric_limits<float>::quiet_NaN();
+  Pose bad_label = world().dataset().frames.front().label;
+  bad_label.joints[0].z = std::numeric_limits<float>::quiet_NaN();
+  ASSERT_TRUE(accepted(server.submit_frame(other, bad)));
+  ASSERT_TRUE(accepted(server.submit_frame(other, frames[5], &bad_label)));
+  server.drain();
+  const auto poisoned = server.stats();
+  ASSERT_EQ(poisoned.non_finite_frames, 1u);
+  ASSERT_EQ(poisoned.non_finite_labels, 1u);
+
+  server.recycle_session(other);
+  const auto recycled = server.stats();
+  ASSERT_EQ(recycled.per_session.size(), 1u);
+  EXPECT_EQ(recycled.per_session[0].non_finite_frames, 0u);
+  EXPECT_EQ(recycled.per_session[0].non_finite_labels, 0u);
+  EXPECT_TRUE(static_cast<const FrameCounters&>(recycled) ==
+              static_cast<const FrameCounters&>(poisoned));
+  EXPECT_EQ(server.stats(1).non_finite_frames, 1u);
+  EXPECT_EQ(server.stats(1).non_finite_labels, 1u);
 }
 
 TEST(Shard, SubmitReportsQuarantineAsAcceptedVariant) {
