@@ -178,12 +178,8 @@ int main(int argc, char** argv) {
   // detection sets, summed over every fixture cube.
   fuse::radar::FrameWorkspace check_ws;
   fuse::dsp::CfarConfig ccfg;
-  ccfg.guard_cells = 2;
-  ccfg.train_cells = 8;
   ccfg.threshold_scale =
       fuse::dsp::cfar_scale_for_pfa(2 * ccfg.train_cells, cfg.cfar_pfa);
-  ccfg.mode_2d = fuse::dsp::Cfar2dMode::kDopplerAxis;
-  ccfg.local_max_2d = fuse::dsp::CfarLocalMax::kDoppler;
 
   bool rd_bit_identical = true;
   bool detections_match = true;

@@ -59,8 +59,6 @@ void BM_Cfar2d(benchmark::State& state) {
     v = static_cast<float>(-std::log(1.0 - rng.uniform()));
   map[100 * nd + 30] = 500.0f;
   fuse::dsp::CfarConfig cfg;
-  cfg.mode_2d = fuse::dsp::Cfar2dMode::kDopplerAxis;
-  cfg.local_max_2d = fuse::dsp::CfarLocalMax::kDoppler;
   for (auto _ : state) {
     auto dets = fuse::dsp::ca_cfar_2d(map, nr, nd, cfg);
     benchmark::DoNotOptimize(dets.data());

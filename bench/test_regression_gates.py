@@ -10,13 +10,17 @@ flipped to false, the shard sweep's shard_p99_scaling_ok flipped to
 false, the churn storm's leaked_in_flight gauge set to a nonzero
 count) and asserts the gate exits non-zero with a REGRESSION
 line for each — then replays the baseline against itself and asserts a
-clean pass.  This is the "demonstrated gate" required by the
+clean pass.  The committed DSP baseline gets the same treatment: a
+flipped detections_match, a flipped rd_bit_identical and a
+detections_total moved past its max(2, 2%) allowance must each fail the
+gate, and the clean copy must pass.  This is the "demonstrated gate" required by the
 observability and overload-hardening PRs: proof the CI step would
 actually catch a tail-latency, backpressure, or degradation-ladder
 regression, not just parse the JSON.
 
 Usage:  test_regression_gates.py [BASELINE]
-        (default: bench/baselines/BENCH_serve_smoke.json next to this file)
+        (default: bench/baselines/BENCH_serve_smoke.json next to this file;
+        the DSP checks always use bench/baselines/BENCH_dsp.smoke.json)
 
 Exits 0 when the gate behaves, 1 with a diagnostic when it does not.
 """
@@ -31,6 +35,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 CHECKER = os.path.join(HERE, "check_regression.py")
 DEFAULT_BASELINE = os.path.join(HERE, "baselines", "BENCH_serve_smoke.json")
+DSP_BASELINE = os.path.join(HERE, "baselines", "BENCH_dsp.smoke.json")
 
 
 def run_gate(baseline_path, fresh_path):
@@ -111,7 +116,8 @@ def main():
 
     failures = []
 
-    def check(name, doc, want_fail, want_text=None):
+    def check(name, doc, want_fail, want_text=None,
+              baseline_path=baseline_path):
         with tempfile.NamedTemporaryFile(
                 "w", suffix=".json", delete=False) as tmp:
             json.dump(doc, tmp)
@@ -177,6 +183,29 @@ def main():
     flip_flags(doc, "scaling_ok")
     check("flipped shard-scaling flag caught", doc, want_fail=True,
           want_text="equivalence flag")
+
+    # The DSP gate: the planned-vs-reference equivalence flags and the
+    # detection count are what a CFAR or FFT change would move.
+    with open(DSP_BASELINE) as f:
+        dsp = json.load(f)
+
+    def check_dsp(name, doc, want_fail, want_text=None):
+        check(name, doc, want_fail, want_text, baseline_path=DSP_BASELINE)
+
+    check_dsp("clean DSP baseline passes", copy.deepcopy(dsp),
+              want_fail=False)
+
+    for flag in ("detections_match", "rd_bit_identical"):
+        doc = copy.deepcopy(dsp)
+        flip_flags(doc, flag)
+        check_dsp(f"flipped {flag} caught", doc, want_fail=True,
+                  want_text=f"{flag}: equivalence flag")
+
+    doc = copy.deepcopy(dsp)
+    total = doc["detections_total"]
+    doc["detections_total"] = total + int(max(2, 0.02 * total)) + 1
+    check_dsp("detections_total past its allowance caught", doc,
+              want_fail=True, want_text="detection count")
 
     if failures:
         for f in failures:

@@ -1,6 +1,5 @@
 #include "dsp/cfar.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -14,40 +13,6 @@ float cfar_scale_for_pfa(std::size_t n_train, double pfa) {
 }
 
 namespace {
-
-// Mean of training cells around index i (1-D), skipping guards and clipping
-// at the array edges.  Returns the number of cells actually used.
-std::size_t training_mean(std::span<const float> p, std::size_t i,
-                          const CfarConfig& cfg, float* mean_out) {
-  const std::size_t n = p.size();
-  double acc = 0.0;
-  std::size_t count = 0;
-  const std::size_t g = cfg.guard_cells, t = cfg.train_cells;
-  // Both sides at once: each offset g+k contributes the leading cell
-  // i - (g+k) and the lagging cell i + (g+k), each clipped independently
-  // at its array edge.
-  for (std::size_t k = 1; k <= t; ++k) {
-    const std::size_t off = g + k;
-    if (i >= off) {
-      acc += p[i - off];
-      ++count;
-    }
-    if (i + off < n) {
-      acc += p[i + off];
-      ++count;
-    }
-  }
-  *mean_out = count > 0 ? static_cast<float>(acc / count) : 0.0f;
-  return count;
-}
-
-/// Grows `v` to exactly n elements, counting a capacity increase as one
-/// scratch growth event (the steady-state allocation monitor).
-void ensure_sized(std::vector<double>& v, std::size_t n,
-                  std::size_t* grow_events) {
-  if (v.capacity() < n) ++*grow_events;
-  v.resize(n);
-}
 
 /// Sum over the circular segment [start, start + len) of a ring of size n
 /// whose prefix sums are in `pref` (pref[j] = sum of the first j cells,
@@ -65,145 +30,15 @@ double circular_segment_sum(const double* pref, std::size_t n,
   return acc + (pref[n] - pref[start]) + pref[end - n];
 }
 
-/// Edge-clipped training-window sum around index i via prefix sums over n
-/// cells laid out `stride` apart (stride 1: a 1-D profile; stride
-/// n_doppler: one column of the 2-D column-prefix table).  Returns the
-/// number of training cells used and writes their mean (0 when none),
-/// matching training_mean()'s clipping semantics exactly — this is the
-/// single copy of the edge-clipping contract shared by the 1-D detector
-/// and the 2-D range axis.
-std::size_t prefix_training_mean(const double* pref, std::size_t n,
-                                 std::size_t stride, std::size_t i,
-                                 std::size_t g, std::size_t t,
-                                 float* mean_out) {
-  // Leading cells occupy [i - g - t, i - g - 1] clipped at 0; lagging cells
-  // occupy [i + g + 1, i + g + t] clipped at n - 1.
-  const std::size_t l_hi = i > g ? i - g : 0;           // exclusive
-  const std::size_t l_lo = i > g + t ? i - g - t : 0;
-  const std::size_t r_lo = std::min(n, i + g + 1);
-  const std::size_t r_hi = std::min(n, i + g + t + 1);  // exclusive
-  const std::size_t count = (l_hi - l_lo) + (r_hi - r_lo);
-  if (count == 0) {
-    *mean_out = 0.0f;
-    return 0;
-  }
-  const double acc = (pref[l_hi * stride] - pref[l_lo * stride]) +
-                     (pref[r_hi * stride] - pref[r_lo * stride]);
-  *mean_out = static_cast<float>(acc / static_cast<double>(count));
-  return count;
-}
-
-}  // namespace
-
-void ca_cfar_1d(std::span<const float> power, const CfarConfig& cfg,
-                CfarScratch& scratch, std::vector<Detection1d>& out) {
-  out.clear();
-  const std::size_t n = power.size();
-  ensure_sized(scratch.prefix, n + 1, &scratch.grow_events);
-  double* pref = scratch.prefix.data();
-  pref[0] = 0.0;
-  for (std::size_t i = 0; i < n; ++i) pref[i + 1] = pref[i] + power[i];
-
-  for (std::size_t i = 0; i < n; ++i) {
-    float noise = 0.0f;
-    if (prefix_training_mean(pref, n, 1, i, cfg.guard_cells,
-                             cfg.train_cells, &noise) == 0)
-      continue;
-    const float threshold = cfg.threshold_scale * noise;
-    if (power[i] > threshold && noise > 0.0f) {
-      // Local-maximum gate: one detection per peak.
-      const bool left_ok = i == 0 || power[i] >= power[i - 1];
-      const bool right_ok = i + 1 == n || power[i] > power[i + 1];
-      if (left_ok && right_ok)
-        out.push_back({i, power[i], threshold, power[i] / noise});
-    }
-  }
-}
-
-std::vector<Detection1d> ca_cfar_1d(std::span<const float> power,
-                                    const CfarConfig& cfg) {
-  CfarScratch scratch;
-  std::vector<Detection1d> out;
-  ca_cfar_1d(power, cfg, scratch, out);
-  return out;
-}
-
-std::vector<Detection1d> ca_cfar_1d_reference(std::span<const float> power,
-                                              const CfarConfig& cfg) {
-  std::vector<Detection1d> out;
-  const std::size_t n = power.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    float noise = 0.0f;
-    if (training_mean(power, i, cfg, &noise) == 0) continue;
-    const float threshold = cfg.threshold_scale * noise;
-    if (power[i] > threshold && noise > 0.0f) {
-      // Local-maximum gate: one detection per peak.
-      const bool left_ok = i == 0 || power[i] >= power[i - 1];
-      const bool right_ok = i + 1 == n || power[i] > power[i + 1];
-      if (left_ok && right_ok)
-        out.push_back({i, power[i], threshold, power[i] / noise});
-    }
-  }
-  return out;
-}
-
-std::vector<Detection1d> os_cfar_1d(std::span<const float> power,
-                                    const CfarConfig& cfg) {
-  std::vector<Detection1d> out;
-  const std::size_t n = power.size();
-  std::vector<float> train;
-  train.reserve(2 * cfg.train_cells);
-  for (std::size_t i = 0; i < n; ++i) {
-    train.clear();
-    const std::size_t g = cfg.guard_cells, t = cfg.train_cells;
-    for (std::size_t k = 1; k <= t; ++k) {
-      const std::size_t off = g + k;
-      if (i >= off) train.push_back(power[i - off]);
-      if (i + off < n) train.push_back(power[i + off]);
-    }
-    if (train.empty()) continue;
-    const std::size_t rank = std::min(
-        train.size() - 1,
-        static_cast<std::size_t>(cfg.os_rank_fraction *
-                                 static_cast<float>(train.size())));
-    std::nth_element(train.begin(), train.begin() + rank, train.end());
-    const float noise = train[rank];
-    const float threshold = cfg.threshold_scale * noise;
-    if (power[i] > threshold && noise > 0.0f) {
-      const bool left_ok = i == 0 || power[i] >= power[i - 1];
-      const bool right_ok = i + 1 == n || power[i] > power[i + 1];
-      if (left_ok && right_ok)
-        out.push_back({i, power[i], threshold, power[i] / noise});
-    }
-  }
-  return out;
-}
-
-namespace {
-
-/// Local-maximum gating shared by both 2-D implementations (comparisons
-/// only — no arithmetic, so it cannot perturb bit-identity).
-bool is_local_max_2d(std::span<const float> power_map, std::size_t n_range,
-                     std::size_t n_doppler, std::size_t r, std::size_t d,
-                     float cut, const CfarConfig& cfg) {
-  if (cfg.local_max_2d == CfarLocalMax::kNone) return true;
-  const int r_lo = cfg.local_max_2d == CfarLocalMax::kFull ? -1 : 0;
-  const int r_hi = cfg.local_max_2d == CfarLocalMax::kFull ? 1 : 0;
-  for (int dr = r_lo; dr <= r_hi; ++dr) {
-    for (int dd = -1; dd <= 1; ++dd) {
-      if (dr == 0 && dd == 0) continue;
-      const std::ptrdiff_t rr = static_cast<std::ptrdiff_t>(r) + dr;
-      if (rr < 0 || rr >= static_cast<std::ptrdiff_t>(n_range)) continue;
-      const std::size_t dd_idx =
-          (d + n_doppler + static_cast<std::size_t>(dd + 1) - 1) % n_doppler;
-      const float nb =
-          power_map[static_cast<std::size_t>(rr) * n_doppler + dd_idx];
-      // Strict inequality on "later" cells breaks plateau ties.
-      if (nb > cut || (nb == cut && (dr > 0 || (dr == 0 && dd > 0))))
-        return false;
-    }
-  }
-  return true;
+/// Doppler-neighbour local-maximum gate shared by both implementations
+/// (comparisons only — no arithmetic, so it cannot perturb bit-identity).
+/// The CUT must not be below either circular neighbour on its row, and a
+/// tie with the next bin defers to that bin, so a plateau yields one peak.
+bool is_doppler_peak(const float* row, std::size_t n_doppler, std::size_t d,
+                     float cut) {
+  const float prev = row[(d + n_doppler - 1) % n_doppler];
+  const float next = row[(d + 1) % n_doppler];
+  return !(prev > cut) && !(next >= cut);
 }
 
 }  // namespace
@@ -218,23 +53,9 @@ void ca_cfar_2d(std::span<const float> power_map, std::size_t n_range,
   if (t == 0) return;  // no training cells -> the reference never detects
   const std::size_t cnt_d = 2 * t;  // Doppler window wraps: never clipped
 
-  // Column prefix sums for the range axis (kCross only): col_prefix
-  // [(r+1) * n_doppler + d] = sum of rows 0..r at Doppler bin d.
-  const bool cross = cfg.mode_2d == Cfar2dMode::kCross;
-  if (cross) {
-    ensure_sized(scratch.col_prefix, (n_range + 1) * n_doppler,
-                 &scratch.grow_events);
-    double* cp = scratch.col_prefix.data();
-    for (std::size_t d = 0; d < n_doppler; ++d) cp[d] = 0.0;
-    for (std::size_t r = 0; r < n_range; ++r)
-      for (std::size_t d = 0; d < n_doppler; ++d)
-        cp[(r + 1) * n_doppler + d] =
-            cp[r * n_doppler + d] + power_map[r * n_doppler + d];
-  }
-
-  ensure_sized(scratch.prefix, n_doppler + 1, &scratch.grow_events);
+  if (scratch.prefix.capacity() < n_doppler + 1) ++scratch.grow_events;
+  scratch.prefix.resize(n_doppler + 1);
   double* rp = scratch.prefix.data();
-  const double* cp = cross ? scratch.col_prefix.data() : nullptr;
 
   // The Doppler training window covers offsets +-(g+1 .. g+t) around the
   // CUT, i.e. two circular segments of t cells starting at d + g + 1 and
@@ -252,29 +73,13 @@ void ca_cfar_2d(std::span<const float> power_map, std::size_t n_range,
       const float cut = row[d];
       if (cut <= 0.0f) continue;
 
-      const double acc_d =
+      const double acc =
           circular_segment_sum(rp, n_doppler, (d + right_off) % n_doppler,
                                t) +
           circular_segment_sum(rp, n_doppler, (d + left_off) % n_doppler, t);
-      const float noise_d =
-          static_cast<float>(acc_d / static_cast<double>(cnt_d));
-      if (cut <= cfg.threshold_scale * noise_d) continue;
-
-      float noise = noise_d;
-      if (cross) {
-        // Range-axis training window, clipped at the map edges: the same
-        // helper as the 1-D detector, walking column d of the prefix
-        // table with stride n_doppler.
-        float noise_r = 0.0f;
-        if (prefix_training_mean(cp + d, n_range, n_doppler, r, g, t,
-                                 &noise_r) == 0)
-          continue;
-        if (cut <= cfg.threshold_scale * noise_r) continue;
-        noise = 0.5f * (noise_r + noise_d);
-      }
-
-      if (!is_local_max_2d(power_map, n_range, n_doppler, r, d, cut, cfg))
-        continue;
+      const float noise = static_cast<float>(acc / static_cast<double>(cnt_d));
+      if (cut <= cfg.threshold_scale * noise) continue;
+      if (!is_doppler_peak(row, n_doppler, d, cut)) continue;
 
       out.push_back({r, d, cut, noise > 0.0f ? cut / noise : 0.0f});
     }
@@ -298,46 +103,26 @@ std::vector<Detection2d> ca_cfar_2d_reference(std::span<const float> power_map,
   if (power_map.size() != n_range * n_doppler)
     throw std::invalid_argument("ca_cfar_2d: map size mismatch");
   std::vector<Detection2d> out;
-  auto at = [&](std::size_t r, std::size_t d) -> float {
-    return power_map[r * n_doppler + d];
-  };
 
   for (std::size_t r = 0; r < n_range; ++r) {
+    const float* row = power_map.data() + r * n_doppler;
     for (std::size_t d = 0; d < n_doppler; ++d) {
-      const float cut = at(r, d);
+      const float cut = row[d];
       if (cut <= 0.0f) continue;
 
       // Doppler-axis training window (wraps: Doppler spectrum is circular).
-      double acc_d = 0.0;
-      std::size_t cnt_d = 0;
+      double acc = 0.0;
+      std::size_t cnt = 0;
       for (std::size_t k = 1; k <= cfg.train_cells; ++k) {
         const std::size_t off = (cfg.guard_cells + k) % n_doppler;
-        acc_d += at(r, (d + off) % n_doppler);
-        acc_d += at(r, (d + n_doppler - off) % n_doppler);
-        cnt_d += 2;
+        acc += row[(d + off) % n_doppler];
+        acc += row[(d + n_doppler - off) % n_doppler];
+        cnt += 2;
       }
-      if (cnt_d == 0) continue;
-      const float noise_d = static_cast<float>(acc_d / cnt_d);
-      if (cut <= cfg.threshold_scale * noise_d) continue;
-
-      float noise = noise_d;
-      if (cfg.mode_2d == Cfar2dMode::kCross) {
-        // Range-axis training window (clipped at the edges).
-        double acc_r = 0.0;
-        std::size_t cnt_r = 0;
-        for (std::size_t k = 1; k <= cfg.train_cells; ++k) {
-          const std::size_t off = cfg.guard_cells + k;
-          if (r >= off) { acc_r += at(r - off, d); ++cnt_r; }
-          if (r + off < n_range) { acc_r += at(r + off, d); ++cnt_r; }
-        }
-        if (cnt_r == 0) continue;
-        const float noise_r = static_cast<float>(acc_r / cnt_r);
-        if (cut <= cfg.threshold_scale * noise_r) continue;
-        noise = 0.5f * (noise_r + noise_d);
-      }
-
-      if (!is_local_max_2d(power_map, n_range, n_doppler, r, d, cut, cfg))
-        continue;
+      if (cnt == 0) continue;
+      const float noise = static_cast<float>(acc / cnt);
+      if (cut <= cfg.threshold_scale * noise) continue;
+      if (!is_doppler_peak(row, n_doppler, d, cut)) continue;
 
       out.push_back({r, d, cut, noise > 0.0f ? cut / noise : 0.0f});
     }

@@ -1,38 +1,19 @@
 #pragma once
-// Constant false alarm rate (CFAR) detectors.
+// Constant false alarm rate (CFAR) detection on the range-Doppler map.
 //
-// The IWR1443 firmware runs CFAR on the range profile and on the
-// range-Doppler map to pick out real reflections against thermal noise.  We
-// implement cell-averaging (CA) CFAR in 1-D and 2-D and ordered-statistic
-// (OS) CFAR in 1-D; the 2-D CA variant is what the radar point-cloud
-// pipeline uses, the others support tests/ablations.
+// The IWR1443 firmware runs CFAR on the range-Doppler map to pick out real
+// reflections against thermal noise.  This is the one detector the radar
+// point-cloud pipeline runs: 2-D cell-averaging CFAR with a circular
+// Doppler-axis training window and Doppler-neighbour local-maximum gating.
+// Training runs along Doppler only because an extended body occupies many
+// contiguous range bins: range-axis training cells would be contaminated by
+// the body itself and suppress most of its cells.
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
 namespace fuse::dsp {
-
-/// Which axes the 2-D detector thresholds against.
-enum class Cfar2dMode {
-  /// CUT must exceed the threshold on both the range-axis and Doppler-axis
-  /// training windows (conservative; good for point targets in clutter).
-  kCross,
-  /// CUT must exceed the Doppler-axis threshold only.  This is what the TI
-  /// demo firmware effectively does for extended targets: an extended body
-  /// contaminates the range-axis training cells, so range-axis CFAR would
-  /// suppress most of the body's cells.
-  kDopplerAxis,
-};
-
-/// Local-maximum gating applied after thresholding.
-enum class CfarLocalMax {
-  kNone,     ///< emit every cell that passes the threshold
-  kDoppler,  ///< emit only cells that are maxima along the Doppler axis
-             ///< (dedupes Doppler mainlobe smearing, keeps extended-range
-             ///< bodies intact)
-  kFull,     ///< emit only 3x3 local maxima (one point per isolated target)
-};
 
 struct CfarConfig {
   std::size_t guard_cells = 2;  ///< guard cells on each side of the CUT
@@ -41,61 +22,20 @@ struct CfarConfig {
   /// For CA-CFAR with N training cells and desired false-alarm rate Pfa,
   /// scale = N * (Pfa^(-1/N) - 1); see cfar_scale_for_pfa().
   float threshold_scale = 8.0f;
-  /// OS-CFAR: rank of the order statistic as a fraction of the training
-  /// window (0.75 == 3rd quartile).
-  float os_rank_fraction = 0.75f;
-  /// 2-D detector behaviour (see enum docs).
-  Cfar2dMode mode_2d = Cfar2dMode::kCross;
-  CfarLocalMax local_max_2d = CfarLocalMax::kFull;
 };
 
 /// Computes the CA-CFAR threshold multiplier achieving false-alarm
 /// probability pfa with n training cells (square-law detector).
 float cfar_scale_for_pfa(std::size_t n_train, double pfa);
 
-struct Detection1d {
-  std::size_t index = 0;
-  float power = 0.0f;      ///< CUT power
-  float threshold = 0.0f;  ///< threshold it exceeded
-  float snr = 0.0f;        ///< power / noise-estimate
-};
-
-/// Reusable scratch for the prefix-sum CFAR detectors: the prefix tables
-/// are rebuilt in place every call, so steady-shape call sequences never
+/// Reusable scratch for the prefix-sum detector: the per-row prefix table
+/// is rebuilt in place every row, so steady-shape call sequences never
 /// allocate.  `grow_events` counts buffer growths (capacity increases) —
 /// a steady-state frame loop must leave it unchanged.
 struct CfarScratch {
-  std::vector<double> prefix;      ///< 1-D / per-row prefix sums
-  std::vector<double> col_prefix;  ///< column prefix sums (2-D kCross)
+  std::vector<double> prefix;  ///< per-row Doppler prefix sums
   std::size_t grow_events = 0;
 };
-
-/// 1-D cell-averaging CFAR over a power profile.
-///
-/// Implemented with sliding-window prefix sums: O(1) noise estimate per
-/// cell instead of O(train_cells), with the reference implementation's
-/// exact edge-clipping semantics (training cells falling off either array
-/// end are dropped from the mean, and a cell with no training cells at all
-/// is never a detection).  Detection sets are bit-identical to
-/// ca_cfar_1d_reference() whenever the window sums are exactly
-/// representable in double (always the case for realistic power maps; the
-/// equivalence tests assert exact equality).
-std::vector<Detection1d> ca_cfar_1d(std::span<const float> power,
-                                    const CfarConfig& cfg);
-
-/// Allocation-free variant: detections are appended to a cleared `out`
-/// and prefix tables live in `scratch`.
-void ca_cfar_1d(std::span<const float> power, const CfarConfig& cfg,
-                CfarScratch& scratch, std::vector<Detection1d>& out);
-
-/// Reference O(train_cells)-per-cell implementation (the pre-plan scalar
-/// code), kept as the correctness oracle for the prefix-sum detector.
-std::vector<Detection1d> ca_cfar_1d_reference(std::span<const float> power,
-                                              const CfarConfig& cfg);
-
-/// 1-D ordered-statistic CFAR (robust to clutter edges / multiple targets).
-std::vector<Detection1d> os_cfar_1d(std::span<const float> power,
-                                    const CfarConfig& cfg);
 
 struct Detection2d {
   std::size_t row = 0;  ///< range bin
@@ -105,30 +45,34 @@ struct Detection2d {
 };
 
 /// 2-D cell-averaging CFAR over a range-Doppler power map (row-major
-/// [n_range, n_doppler]).  Runs a cross-shaped training window (CFAR along
-/// both axes, CUT must pass both), matching the cascaded range-then-Doppler
-/// scheme in the TI demo firmware.  Detections are additionally required to
-/// be local maxima in their 3x3 neighbourhood so each target yields one
-/// peak per lobe.
+/// [n_range, n_doppler]).  The cell under test (CUT) must exceed
+/// threshold_scale times the mean of its Doppler-axis training cells,
+/// offsets +-(guard+1 .. guard+train) around it.  The Doppler spectrum is
+/// circular, so the window wraps and is never clipped.  A passing cell is
+/// emitted only if it is a maximum along Doppler (a tie with the next bin
+/// defers to it), which dedupes Doppler mainlobe smearing while keeping
+/// extended-range bodies intact.
 ///
-/// Both axes use sliding-window prefix sums (per-row prefixes for the
-/// circular Doppler window — including the wrap-past-full-circle case where
-/// guard+train exceeds n_doppler and cells are counted multiple times, just
-/// like the reference — and column prefixes for the edge-clipped range
-/// window), so the noise estimate is O(1) per cell.  Detection sets are
-/// bit-identical to ca_cfar_2d_reference() under the same proviso as the
-/// 1-D detector.
+/// Each row's window sums come from a sliding prefix-sum table, so the
+/// noise estimate is O(1) per cell.  When guard+train exceeds n_doppler
+/// the window laps the ring and counts cells several times, just like the
+/// reference.  Detection sets are bit-identical to ca_cfar_2d_reference()
+/// whenever the window sums are exactly representable in double (always
+/// the case for realistic power maps; the equivalence tests assert exact
+/// equality).
 std::vector<Detection2d> ca_cfar_2d(std::span<const float> power_map,
                                     std::size_t n_range,
                                     std::size_t n_doppler,
                                     const CfarConfig& cfg);
 
-/// Allocation-free variant of the 2-D detector (see CfarScratch).
+/// Allocation-free variant: detections are appended to a cleared `out`
+/// and the prefix table lives in `scratch`.
 void ca_cfar_2d(std::span<const float> power_map, std::size_t n_range,
                 std::size_t n_doppler, const CfarConfig& cfg,
                 CfarScratch& scratch, std::vector<Detection2d>& out);
 
-/// Reference O(train_cells)-per-cell 2-D implementation (oracle).
+/// Reference O(train_cells)-per-cell implementation (the pre-plan scalar
+/// code), kept as the correctness oracle for the prefix-sum detector.
 std::vector<Detection2d> ca_cfar_2d_reference(std::span<const float> power_map,
                                               std::size_t n_range,
                                               std::size_t n_doppler,

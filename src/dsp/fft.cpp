@@ -90,13 +90,6 @@ std::vector<cfloat> dft_reference(std::span<const cfloat> input,
   return out;
 }
 
-std::vector<float> power_spectrum(std::span<const cfloat> spectrum) {
-  std::vector<float> p(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i)
-    p[i] = std::norm(spectrum[i]);
-  return p;
-}
-
 float parabolic_peak_offset(float left, float centre, float right) {
   const float denom = left - 2.0f * centre + right;
   if (std::fabs(denom) < 1e-12f) return 0.0f;

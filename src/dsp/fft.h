@@ -54,9 +54,6 @@ void fftshift(std::vector<T>& v) {
   v = std::move(out);
 }
 
-/// Power (|.|^2) of a complex spectrum.
-std::vector<float> power_spectrum(std::span<const cfloat> spectrum);
-
 /// Parabolic interpolation of a spectral peak: given bin k with neighbours,
 /// returns the fractional bin offset in [-0.5, 0.5] of the true maximum.
 float parabolic_peak_offset(float left, float centre, float right);

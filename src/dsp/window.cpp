@@ -48,14 +48,4 @@ float coherent_gain(std::span<const float> window) {
   return static_cast<float>(acc / static_cast<double>(window.size()));
 }
 
-const char* window_name(WindowType type) {
-  switch (type) {
-    case WindowType::kRect: return "rect";
-    case WindowType::kHann: return "hann";
-    case WindowType::kHamming: return "hamming";
-    case WindowType::kBlackman: return "blackman";
-  }
-  return "?";
-}
-
 }  // namespace fuse::dsp

@@ -21,6 +21,4 @@ void apply_window(std::span<float> data, std::span<const float> window);
 /// amplitudes after windowed FFTs.
 float coherent_gain(std::span<const float> window);
 
-const char* window_name(WindowType type);
-
 }  // namespace fuse::dsp

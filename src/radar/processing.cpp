@@ -1,8 +1,10 @@
 #include "radar/processing.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "dsp/fft.h"
 #include "dsp/window.h"
@@ -31,6 +33,21 @@ void accumulate_power(const RangeDopplerCube& rd, std::vector<float>& p) {
   }
 }
 
+using Shape = std::array<std::size_t, 3>;
+
+/// The shape test behind both Processor::check_shape overloads.
+void require_shape(const char* what, const Shape& got, const Shape& want,
+                   const char* axes) {
+  if (got == want) return;
+  const auto str = [](const Shape& s) {
+    return std::to_string(s[0]) + "x" + std::to_string(s[1]) + "x" +
+           std::to_string(s[2]);
+  };
+  throw std::invalid_argument(std::string("Processor: ") + what + " is " +
+                              str(got) + ", the configured frame is " +
+                              str(want) + " (" + axes + ")");
+}
+
 }  // namespace
 
 Processor::Processor(const RadarConfig& cfg)
@@ -48,30 +65,33 @@ Processor::Processor(const RadarConfig& cfg)
   doppler_window_ =
       fuse::dsp::make_window(fuse::dsp::WindowType::kHamming,
                              cfg_.chirps_per_frame);
-  cfar_.guard_cells = 2;
-  cfar_.train_cells = 8;
+  // The one CFAR detector (dsp/cfar.h) at its default Doppler window, with
+  // the threshold multiplier set for the configured false-alarm rate.
   cfar_.threshold_scale =
       fuse::dsp::cfar_scale_for_pfa(2 * cfar_.train_cells, cfg_.cfar_pfa);
-  // Doppler-axis CFAR with Doppler-axis local-max gating: extended bodies
-  // occupy many contiguous range bins, so range-axis training would be
-  // contaminated and suppress them (see Cfar2dMode docs).
-  cfar_.mode_2d = fuse::dsp::Cfar2dMode::kDopplerAxis;
-  cfar_.local_max_2d = fuse::dsp::CfarLocalMax::kDoppler;
+}
+
+void Processor::check_shape(const RadarCube& cube) const {
+  require_shape("cube", {cube.n_virtual(), cube.n_chirps(), cube.n_samples()},
+                {elems_.size(), cfg_.chirps_per_frame, cfg_.samples_per_chirp},
+                "channels x chirps x samples");
+}
+
+void Processor::check_shape(const RangeDopplerCube& rd) const {
+  require_shape("range-Doppler cube",
+                {rd.n_virtual(), rd.n_range(), rd.n_doppler()},
+                {elems_.size(), n_range_, n_doppler_},
+                "channels x range bins x Doppler bins");
 }
 
 // ---------------------------------------------------- planned frame path --
 
 const RangeDopplerCube& Processor::range_doppler(const RadarCube& cube,
                                                  FrameWorkspace& ws) const {
+  check_shape(cube);
   const std::size_t nv = cube.n_virtual();
   const std::size_t nc = cube.n_chirps();
   const std::size_t ns = cube.n_samples();
-  // Guard against the WINDOW lengths, not the padded FFT sizes: with a
-  // non-power-of-two samples_per_chirp, n_range_ exceeds the Hann window,
-  // and a cube sized in between would read past the window vector.
-  if (ns > range_window_.size() || nc > doppler_window_.size())
-    throw std::invalid_argument(
-        "Processor::range_doppler: cube larger than the configured frame");
   if (ws.rd_.resize(nv, n_range_, n_doppler_))
     ws.grows_.fetch_add(1, std::memory_order_relaxed);
 
@@ -156,6 +176,7 @@ const RangeDopplerCube& Processor::range_doppler(const RadarCube& cube,
 
 void Processor::detect(const RangeDopplerCube& rd, FrameWorkspace& ws,
                        ProcessedFrame& out) const {
+  check_shape(rd);
   out.n_range = rd.n_range();
   out.n_doppler = rd.n_doppler();
   accumulate_power(rd, out.power_map);
@@ -205,12 +226,10 @@ ProcessedFrame Processor::process(const RadarCube& cube) const {
 
 RangeDopplerCube Processor::range_doppler_reference(
     const RadarCube& cube) const {
+  check_shape(cube);
   const std::size_t nv = cube.n_virtual();
   const std::size_t nc = cube.n_chirps();
   const std::size_t ns = cube.n_samples();
-  if (ns > range_window_.size() || nc > doppler_window_.size())
-    throw std::invalid_argument(
-        "Processor::range_doppler: cube larger than the configured frame");
   RangeDopplerCube rd(nv, n_range_, n_doppler_);
 
   fuse::util::parallel_for(0, nv, [&](std::size_t v0, std::size_t v1) {
@@ -248,6 +267,7 @@ RangeDopplerCube Processor::range_doppler_reference(
 }
 
 ProcessedFrame Processor::detect_reference(const RangeDopplerCube& rd) const {
+  check_shape(rd);
   ProcessedFrame out;
   out.n_range = rd.n_range();
   out.n_doppler = rd.n_doppler();

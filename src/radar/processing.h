@@ -22,7 +22,6 @@
 // the two with exact float equality.
 
 #include <atomic>
-#include <cmath>
 #include <complex>
 #include <cstddef>
 #include <deque>
@@ -95,9 +94,6 @@ struct RadarDetection {
   float snr_db = 0.0f;
   std::size_t range_bin = 0;
   std::size_t doppler_bin = 0;
-
-  float azimuth_rad() const { return std::asin(dir_cos_x); }
-  float elevation_rad() const { return std::asin(dir_cos_z); }
 };
 
 struct ProcessedFrame {
@@ -245,8 +241,16 @@ class Processor {
   const RadarConfig& config() const { return cfg_; }
   std::size_t n_range_bins() const { return n_range_; }
   std::size_t n_doppler_bins() const { return n_doppler_; }
-  /// Azimuth FFT length used for angle estimation (zero-padded).
-  std::size_t angle_fft_size() const { return kAngleFftSize; }
+
+  /// Throws std::invalid_argument unless `cube` is the configured frame:
+  /// one channel per virtual element, chirps_per_frame chirps of
+  /// samples_per_chirp samples.  Every cube entry point runs it, so a
+  /// misfit cube never reaches the FFT windows or the angle stage.
+  void check_shape(const RadarCube& cube) const;
+  /// The same check on a range-Doppler cube: one channel per virtual
+  /// element and the configured (padded) range and Doppler FFT sizes.
+  /// Every detect entry point runs it.
+  void check_shape(const RangeDopplerCube& rd) const;
 
  private:
   static constexpr std::size_t kAngleFftSize = 64;

@@ -206,6 +206,9 @@ SubmitResult Server::submit_cube(SessionId id, fuse::radar::RadarCube cube,
                                  const fuse::human::Pose* label) {
   if (cfg_.processor == nullptr)  // no DSP front-end wired
     return SubmitResult::kNoProcessor;
+  // Shape check on the producer's thread, before routing or any counter:
+  // a misfit cube would otherwise throw inside the shard pass.
+  cfg_.processor->check_shape(cube);
   return submit(id, label, [&](Session& s, const fuse::human::Pose* l) {
     if (fuse::util::fault_fire(fuse::util::FaultPoint::kCorruptCube) &&
         cube.n_virtual() > 0)

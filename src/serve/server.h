@@ -217,7 +217,10 @@ class Server {
 
   /// Enqueues a raw radar cube (any thread); the DSP front-end runs on
   /// the owning shard's scheduler thread when the frame is collected, so
-  /// producers pay only the copy.
+  /// producers pay only the copy.  Throws std::invalid_argument (from
+  /// Processor::check_shape, on the calling thread, before the session is
+  /// looked up or any counter moves) when the cube is not the processor's
+  /// configured frame shape.
   SubmitResult submit_cube(SessionId id, fuse::radar::RadarCube cube,
                            const fuse::human::Pose* label = nullptr);
 

@@ -62,12 +62,12 @@ TEST_P(PfaSweep, EmpiricalFalseAlarmRateTracksDesign) {
   cfg.threshold_scale = fuse::dsp::cfar_scale_for_pfa(16, pfa);
   std::size_t alarms = 0, cells = 0;
   for (int trial = 0; trial < 40; ++trial) {
-    std::vector<float> p(1024);
-    for (auto& v : p)
+    std::vector<float> map(32 * 64);
+    for (auto& v : map)
       v = static_cast<float>(-std::log(std::max(1e-12,
                                                 1.0 - rng.uniform())));
-    alarms += fuse::dsp::ca_cfar_1d(p, cfg).size();
-    cells += p.size();
+    alarms += fuse::dsp::ca_cfar_2d(map, 32, 64, cfg).size();
+    cells += map.size();
   }
   const double rate = static_cast<double>(alarms) / static_cast<double>(cells);
   // Local-max gating only removes alarms, so rate <= ~Pfa (x3 slack), and

@@ -173,8 +173,8 @@ TEST(Processor, TwoTargetsSeparatedInRange) {
 TEST(Processor, TwoTargetsSeparatedInDoppler) {
   // Same range, opposite radial velocities.  The +-2 m/s separation (~14
   // Doppler bins) keeps each target outside the other's CA-CFAR training
-  // window; closer targets would mask each other — classic CA-CFAR
-  // multi-target behaviour, demonstrated in the OS-CFAR test in test_dsp.
+  // window; closer targets would mask each other (classic CA-CFAR
+  // multi-target behaviour).
   const RadarConfig cfg = small_config();
   fuse::util::Rng rng(2);
   Scene scene;
@@ -442,6 +442,40 @@ TEST(PlannedProcessor, CubeBetweenWindowAndFftSizeThrows) {
   fuse::radar::FrameWorkspace ws;
   EXPECT_THROW(proc.range_doppler(cube, ws), std::invalid_argument);
   EXPECT_THROW(proc.range_doppler_reference(cube), std::invalid_argument);
+}
+
+TEST(PlannedProcessor, MisfitCubeThrowsAtEveryEntryPoint) {
+  // A channel count other than the virtual array's would let the angle
+  // stage read past the range-Doppler cube; fewer chirps or samples would
+  // run the windows and the velocity/range scaling on the wrong frame.
+  RadarConfig cfg = small_config();
+  const fuse::radar::Processor proc(cfg);
+  const std::size_t nv = cfg.n_virtual(), nc = cfg.chirps_per_frame,
+                    ns = cfg.samples_per_chirp;
+  const struct {
+    std::size_t channels, chirps, samples;
+  } shapes[] = {{nv - 4, nc, ns}, {nv + 4, nc, ns},
+                {nv, nc / 2, ns}, {nv, nc, ns / 2}};
+  for (const auto& sh : shapes) {
+    SCOPED_TRACE(::testing::Message() << sh.channels << "x" << sh.chirps
+                                      << "x" << sh.samples);
+    const fuse::radar::RadarCube cube(sh.channels, sh.chirps, sh.samples);
+    fuse::radar::FrameWorkspace ws;
+    fuse::radar::ProcessedFrame out;
+    EXPECT_THROW(proc.range_doppler(cube, ws), std::invalid_argument);
+    EXPECT_THROW(proc.range_doppler(cube), std::invalid_argument);
+    EXPECT_THROW(proc.range_doppler_reference(cube), std::invalid_argument);
+    EXPECT_THROW(proc.process(cube, ws, out), std::invalid_argument);
+    EXPECT_THROW(proc.process(cube), std::invalid_argument);
+    EXPECT_THROW(proc.process_reference(cube), std::invalid_argument);
+    if (sh.channels == nv) continue;
+
+    const fuse::radar::RangeDopplerCube rd(sh.channels, proc.n_range_bins(),
+                                           proc.n_doppler_bins());
+    EXPECT_THROW(proc.detect(rd, ws, out), std::invalid_argument);
+    EXPECT_THROW(proc.detect(rd), std::invalid_argument);
+    EXPECT_THROW(proc.detect_reference(rd), std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -937,6 +937,38 @@ TEST(Serve, SubmitCubeRejectedWithoutProcessor) {
   EXPECT_EQ(server.drain(), 1u);
 }
 
+TEST(Serve, MisfitCubeThrowsOnProducerAndServerKeepsServing) {
+  // A cube of the wrong shape is refused on the submitting thread, before
+  // any counter moves; it never reaches a shard pass, where the throw
+  // would escape the scheduler thread.
+  auto& pl = world();
+  ServeConfig cfg;
+  cfg.processor = &pl.processor();
+  Server server(&pl.predictor(), &pl.model(), cfg);
+  const auto id = server.open_session();
+  const auto cubes = simulate_cubes(1, 4321);
+  const auto& good = cubes[0];
+  const fuse::radar::RadarCube short_cube(good.n_virtual(),
+                                          good.n_chirps() / 2,
+                                          good.n_samples());
+
+  server.start();
+  EXPECT_THROW(server.submit_cube(id, short_cube), std::invalid_argument);
+  const auto after_throw = server.stats();
+  EXPECT_EQ(after_throw.frames_in, 0u);
+  EXPECT_EQ(after_throw.in_flight, 0u);
+
+  ASSERT_TRUE(accepted(server.submit_cube(id, good)));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().frames_out < 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  server.stop();
+  EXPECT_EQ(server.stats().frames_out, 1u);
+  EXPECT_EQ(server.poll_results(id).size(), 1u);
+}
+
 // -------------------------------------------------- sharded serving plane --
 
 TEST(Shard, FourShardServerMatchesSingleShardExactly) {
